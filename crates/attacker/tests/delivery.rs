@@ -124,9 +124,8 @@ fn dns_static_chain_crashloops_aslr_daemon() {
         .install_app(n.attacker_node, Box::new(MaliciousDnsServer::new(forge)));
     // The attacker operator retries when no compromise is observed.
     for t in (10..60).step_by(10) {
-        let server_id = server;
-        n.sim.schedule_call(SimTime::from_secs(t), move |sim| {
-            if let Some(s) = sim.app_mut::<MaliciousDnsServer>(server_id) {
+        n.sim.schedule_forkable_call(SimTime::from_secs(t), "test.retry", server, |sim, id| {
+            if let Some(s) = sim.app_mut::<MaliciousDnsServer>(id) {
                 s.forget("10.0.0.3".parse().expect("dev v4"));
             }
         });

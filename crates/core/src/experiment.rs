@@ -3,16 +3,16 @@
 //!
 //! Each function returns typed rows; the `ddosim-bench` binaries render
 //! them with [`crate::report::Table`] and record them for EXPERIMENTS.md.
-//! Sweeps run their configurations in parallel (one simulator per thread;
-//! simulators are single-threaded worlds).
+//! Sweeps run their configurations on the worker pool ([`crate::pool`]:
+//! one single-threaded simulator per worker).
 //!
-//! Two sweep modes layer on top of the plain batch runners:
+//! Two sweep modes layer on top of the pool:
 //!
 //! * **Streaming** — [`try_run_configs_streamed`] / [`run_suffixes_streamed`]
 //!   fire a per-row callback the moment a worker finishes, then still return
-//!   the full result set in input order. The batch runners are thin wrappers
-//!   over the streamed ones, so per-row outcomes are byte-identical by
-//!   construction.
+//!   the full result set in input order. The batch form is the same call
+//!   with a no-op callback (as [`run_configs`] makes it), so per-row
+//!   outcomes are byte-identical by construction.
 //! * **Common random numbers (CRN)** — [`crn_compare`] pairs a baseline
 //!   against treatments with a shared [`RngPlan::pinned`] noise plan per
 //!   replicate, so the A−B difference subtracts out world/event/fault noise;
@@ -21,136 +21,34 @@
 
 use crate::config::{Recruitment, RngPlan, SimulationBuilder, SimulationConfig};
 use crate::instance::Ddosim;
+use crate::pool;
 use crate::result::RunResult;
 use crate::suffix::SuffixSpec;
 use churn::ChurnMode;
 use firmware::CommandSet;
-use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once, PoisonError};
 use std::time::Duration;
 use tinyvm::{ProtectionMix, Protections};
 
-/// Renders a panic payload (the `Box<dyn Any>` from [`catch_unwind`]) as
-/// the message string it almost always carries. Public so every per-row
-/// isolation site (sweeps, scenario grids, serve-mode jobs) reports
-/// panics the same way.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-thread_local! {
-    static LAST_PANIC_LOCATION: RefCell<Option<String>> = const { RefCell::new(None) };
-}
-
-static INSTALL_LOCATION_HOOK: Once = Once::new();
-
-/// Installs (once, process-wide) a panic hook that remembers the last
-/// panic's `file:line` for the panicking thread, chaining to the previous
-/// hook. [`catch_unwind`] only yields the payload; the location lives in
-/// the hook's `PanicHookInfo`, so without this a worker panic reports
-/// *what* fired but not *where*.
-pub fn install_location_hook() {
-    INSTALL_LOCATION_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let loc = info
-                .location()
-                .map(|l| format!("{}:{}", l.file(), l.line()));
-            LAST_PANIC_LOCATION.with(|c| *c.borrow_mut() = loc);
-            prev(info);
-        }));
-    });
-}
-
-/// Takes (and clears) the location of the current thread's last panic,
-/// rendered as ` at file:line` (empty when no location was captured).
-pub fn take_panic_location() -> String {
-    LAST_PANIC_LOCATION
-        .with(|c| c.borrow_mut().take())
-        .map(|l| format!(" at {l}"))
-        .unwrap_or_default()
-}
-
-/// Runs each configuration (in parallel across available threads) and
-/// returns per-run outcomes in input order: `Ok(result)` for runs that
-/// completed, `Err(message)` for configurations that were invalid or
-/// panicked mid-run. One bad point in a sweep costs that row, not the
-/// hours of completed rows around it.
-pub fn try_run_configs(configs: Vec<SimulationConfig>) -> Vec<Result<RunResult, String>> {
-    try_run_configs_streamed(configs, |_, _| {})
-}
-
-/// [`try_run_configs`] with streaming delivery: `on_row(i, outcome)` fires
-/// on the calling thread the moment row `i` finishes (completion order,
-/// not input order), and the full outcome set still comes back in input
-/// order. The batch runner is this function with a no-op callback, so a
-/// streamed row is byte-identical to the batch runner's row for the same
-/// configurations.
+/// Runs each configuration on the worker pool ([`pool::run`]) and returns
+/// per-run outcomes in input order: `Ok(result)` for runs that completed,
+/// `Err(message)` for configurations that were invalid or panicked mid-run
+/// — one bad point in a sweep costs that row, not the hours of completed
+/// rows around it. `on_row(i, outcome)` fires on the calling thread the
+/// moment row `i` finishes (completion order); pass `|_, _| {}` for the
+/// batch form, whose rows are byte-identical to the streamed ones.
 pub fn try_run_configs_streamed(
     configs: Vec<SimulationConfig>,
-    mut on_row: impl FnMut(usize, &Result<RunResult, String>),
+    on_row: impl FnMut(usize, &Result<RunResult, String>),
 ) -> Vec<Result<RunResult, String>> {
-    install_location_hook();
-    let n = configs.len();
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<Result<RunResult, String>>> = (0..n).map(|_| None).collect();
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<RunResult, String>)>();
-    std::thread::scope(|scope| {
-        let configs = &configs;
-        let next = &next;
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let config = configs[i].clone();
-                // A panicking run must not take down the whole sweep:
-                // catch it here and record it as this row's outcome. The
-                // worker loop then moves on to the next configuration.
-                let outcome =
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        Ddosim::new(config).map(Ddosim::run_to_completion)
-                    })) {
-                        Ok(Ok(result)) => Ok(result),
-                        Ok(Err(msg)) => Err(format!("configuration {i} invalid: {msg}")),
-                        Err(payload) => Err(format!(
-                            "run {i} panicked{}: {}",
-                            take_panic_location(),
-                            panic_message(&*payload)
-                        )),
-                    };
-                if tx.send((i, outcome)).is_err() {
-                    // Receiver gone (the callback panicked): stop working.
-                    break;
-                }
-            });
-        }
-        // The workers hold the remaining senders; dropping ours lets the
-        // drain loop end exactly when the last worker exits.
-        drop(tx);
-        for (i, outcome) in rx {
-            on_row(i, &outcome);
-            results[i] = Some(outcome);
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every index was produced"))
-        .collect()
+    pool::run(
+        configs,
+        |i, config| match pool::isolate(|| Ddosim::new(config).map(Ddosim::run_to_completion)) {
+            Ok(Ok(result)) => Ok(result),
+            Ok(Err(msg)) => Err(format!("configuration {i} invalid: {msg}")),
+            Err(panic) => Err(format!("run {i} {panic}")),
+        },
+        on_row,
+    )
 }
 
 /// A forked [`Ddosim`] crossing a thread boundary.
@@ -182,145 +80,40 @@ pub struct SuffixOutcome {
 /// applies the suffix's divergence, and runs every fork to completion.
 /// Outcomes come back in input order, one per suffix — `Err` rows carry
 /// the fork/apply/run failure without costing the rows around them.
+/// `on_row(i, outcome)` fires on the calling thread as each branch
+/// finishes (completion order); pass `|_, _| {}` for the batch form.
 ///
 /// The parent must already stand at the fork point (run it there with
 /// [`Ddosim::run_prefix`]); it is only read, never advanced, so the
-/// caller can fork it again for another round.
-pub fn run_suffixes(parent: &Ddosim, suffixes: &[SuffixSpec]) -> Vec<Result<RunResult, String>> {
-    run_suffixes_traced(parent, suffixes)
-        .into_iter()
-        .map(|row| row.map(|o| o.result))
-        .collect()
-}
-
-/// [`run_suffixes`], but each successful row also carries the fork's
-/// flight-recorder trace (see [`SuffixOutcome`]).
-pub fn run_suffixes_traced(
-    parent: &Ddosim,
-    suffixes: &[SuffixSpec],
-) -> Vec<Result<SuffixOutcome, String>> {
-    run_suffixes_streamed(parent, suffixes, |_, _| {})
-}
-
-/// [`run_suffixes_traced`] with streaming delivery: `on_row(i, outcome)`
-/// fires on the calling thread as each branch finishes (completion order),
-/// and the full outcome set still comes back in input order.
-///
-/// Forking is lazy: the calling thread forks one world at a time into a
-/// bounded hand-off queue, so at most `2 × threads + 2` forked worlds are
-/// alive at once — peak memory is O(threads × world size), not
-/// O(suffixes × world size) as it was when every fork happened up front.
+/// caller can fork it again for another round. Forking is lazy: the
+/// calling thread is the pool's producer and forks one world per item,
+/// so at most `2 × threads + 1` forked worlds are alive at once — peak
+/// memory is O(threads × world size), not O(suffixes × world size).
 pub fn run_suffixes_streamed(
     parent: &Ddosim,
     suffixes: &[SuffixSpec],
     on_row: impl FnMut(usize, &Result<SuffixOutcome, String>),
 ) -> Vec<Result<SuffixOutcome, String>> {
-    run_suffixes_bounded(parent, suffixes, on_row, &AtomicUsize::new(0))
-}
-
-/// [`run_suffixes_streamed`] with an externally observable high-water mark
-/// of simultaneously live forked worlds (`peak_live`) — the lazy-forking
-/// invariant the tests pin down.
-fn run_suffixes_bounded(
-    parent: &Ddosim,
-    suffixes: &[SuffixSpec],
-    mut on_row: impl FnMut(usize, &Result<SuffixOutcome, String>),
-    peak_live: &AtomicUsize,
-) -> Vec<Result<SuffixOutcome, String>> {
-    install_location_hook();
-    let n = suffixes.len();
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n.max(1));
-    let mut results: Vec<Option<Result<SuffixOutcome, String>>> = (0..n).map(|_| None).collect();
-    // Live-world accounting: +1 when a fork is produced, −1 when its run
-    // consumed it. The bounded hand-off queue (capacity `threads`) is what
-    // enforces the O(threads) ceiling: a full queue blocks the producer
-    // before it forks world `threads + running + 1`.
-    let live = AtomicUsize::new(0);
-    let (work_tx, work_rx) =
-        std::sync::mpsc::sync_channel::<(usize, Result<SendWorld, String>)>(threads);
-    let work_rx = Mutex::new(work_rx);
-    let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, Result<SuffixOutcome, String>)>();
-    std::thread::scope(|scope| {
-        let work_rx = &work_rx;
-        let live = &live;
-        for _ in 0..threads {
-            let done_tx = done_tx.clone();
-            scope.spawn(move || loop {
-                // Holding the lock across recv() is fine: exactly one
-                // worker waits on the channel, the rest queue on the lock.
-                let msg = work_rx
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .recv();
-                let Ok((i, world)) = msg else { break };
-                let outcome = match world {
-                    Err(msg) => Err(format!("suffix {i} invalid: {msg}")),
-                    Ok(SendWorld(w)) => {
-                        // The handle shares the fork's collectors, so it
-                        // stays readable after the run consumes the world.
-                        let tele = w.telemetry().clone();
-                        let outcome =
-                            match catch_unwind(AssertUnwindSafe(|| w.try_run_to_completion())) {
-                                Ok(Ok((result, _))) => Ok(SuffixOutcome {
-                                    result,
-                                    trace: tele.recorder_json(),
-                                }),
-                                Ok(Err(msg)) => Err(format!("suffix {i} failed: {msg}")),
-                                Err(payload) => Err(format!(
-                                    "suffix {i} panicked{}: {}",
-                                    take_panic_location(),
-                                    panic_message(&*payload)
-                                )),
-                            };
-                        // The world is gone (consumed by the run, or
-                        // dropped during the unwind) either way.
-                        live.fetch_sub(1, Ordering::Relaxed);
-                        outcome
-                    }
-                };
-                if done_tx.send((i, outcome)).is_err() {
-                    break;
-                }
-            });
-        }
-        // Workers hold the remaining result senders; dropping ours makes a
-        // dead pool an error on recv() instead of a hang.
-        drop(done_tx);
-        let mut received = 0usize;
-        for (i, spec) in suffixes.iter().enumerate() {
-            let world = parent.fork_with_seed(spec.fork_seed).and_then(|mut w| {
-                w.apply_suffix(spec)?;
-                Ok(SendWorld(w))
-            });
-            if world.is_ok() {
-                let now_live = live.fetch_add(1, Ordering::Relaxed) + 1;
-                peak_live.fetch_max(now_live, Ordering::Relaxed);
-            }
-            // Drain finished rows before (possibly) blocking on the
-            // hand-off, so callbacks fire as branches complete rather than
-            // only after the last fork is produced.
-            while let Ok((j, outcome)) = done_rx.try_recv() {
-                on_row(j, &outcome);
-                results[j] = Some(outcome);
-                received += 1;
-            }
-            work_tx.send((i, world)).expect("a worker is receiving");
-        }
-        drop(work_tx);
-        while received < n {
-            let (j, outcome) = done_rx.recv().expect("workers produce every row");
-            on_row(j, &outcome);
-            results[j] = Some(outcome);
-            received += 1;
-        }
+    let forks = suffixes.iter().map(|spec| -> Result<SendWorld, String> {
+        let mut world = parent.fork_with_seed(spec.fork_seed)?;
+        world.apply_suffix(spec)?;
+        Ok(SendWorld(world))
     });
-    results
-        .into_iter()
-        .map(|r| r.expect("every index was produced"))
-        .collect()
+    pool::run(
+        forks,
+        |i, world| {
+            let SendWorld(world) = world.map_err(|msg| format!("suffix {i} invalid: {msg}"))?;
+            // The handle shares the fork's collectors, so it stays readable
+            // after the run consumes the world.
+            let tele = world.telemetry().clone();
+            match pool::isolate(|| world.try_run_to_completion()) {
+                Ok(Ok((result, _))) => Ok(SuffixOutcome { result, trace: tele.recorder_json() }),
+                Ok(Err(msg)) => Err(format!("suffix {i} failed: {msg}")),
+                Err(panic) => Err(format!("suffix {i} {panic}")),
+            }
+        },
+        on_row,
+    )
 }
 
 /// Runs each configuration (in parallel across available threads) and
@@ -331,10 +124,10 @@ fn run_suffixes_bounded(
 /// Panics if any configuration is invalid or any run panicked — sweep code
 /// constructs its own configurations, so this indicates a programming
 /// error. Unlike a raw worker panic, the message aggregates *all* failed
-/// rows after every other row has finished. Use [`try_run_configs`] to
-/// keep partial results instead.
+/// rows after every other row has finished. Use
+/// [`try_run_configs_streamed`] to keep partial results instead.
 pub fn run_configs(configs: Vec<SimulationConfig>) -> Vec<RunResult> {
-    let outcomes = try_run_configs(configs);
+    let outcomes = try_run_configs_streamed(configs, |_, _| {});
     let failures: Vec<String> = outcomes
         .iter()
         .filter_map(|r| r.as_ref().err().cloned())
@@ -988,11 +781,11 @@ mod tests {
 
     #[test]
     fn one_failing_config_does_not_poison_the_sweep() {
-        // devs = 0 fails validation inside the worker thread; before
-        // try_run_configs this panicked the worker, poisoned the results
-        // mutex, and aborted every other row of the sweep.
+        // devs = 0 fails validation inside the worker thread; it must
+        // cost only its own row, never the rows around it.
         let invalid = SimulationConfig { devs: 0, ..small(2, 1) };
-        let outcomes = try_run_configs(vec![small(2, 1), invalid, small(3, 2)]);
+        let outcomes =
+            try_run_configs_streamed(vec![small(2, 1), invalid, small(3, 2)], |_, _| {});
         assert_eq!(outcomes.len(), 3);
         assert_eq!(outcomes[0].as_ref().map(|r| r.devs), Ok(2));
         assert_eq!(outcomes[2].as_ref().map(|r| r.devs), Ok(3));
@@ -1003,44 +796,9 @@ mod tests {
     #[test]
     fn run_configs_panics_with_aggregate_message_on_failure() {
         let invalid = SimulationConfig { devs: 0, ..small(2, 1) };
-        let panic = catch_unwind(AssertUnwindSafe(|| run_configs(vec![small(2, 1), invalid])))
+        let msg = pool::isolate(|| run_configs(vec![small(2, 1), invalid]))
             .expect_err("run_configs must propagate the failure");
-        let msg = panic_message(&*panic);
         assert!(msg.contains("1 of 2 runs"), "got: {msg}");
-    }
-
-    #[test]
-    fn empty_sweep_returns_empty() {
-        assert!(try_run_configs(Vec::new()).is_empty());
-        assert!(run_configs(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn single_config_sweep_matches_direct_run() {
-        let direct = Ddosim::new(small(3, 5)).expect("valid").run_to_completion();
-        let swept = try_run_configs(vec![small(3, 5)]);
-        assert_eq!(swept.len(), 1);
-        let r = swept[0].as_ref().expect("run completes");
-        assert_eq!(r.packets_sent, direct.packets_sent);
-        assert_eq!(
-            r.avg_received_data_rate_kbps,
-            direct.avg_received_data_rate_kbps
-        );
-    }
-
-    #[test]
-    fn many_more_configs_than_threads_all_complete_in_order() {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        let n = threads * 3 + 1;
-        let configs: Vec<SimulationConfig> = (0..n).map(|i| small(2, i as u64)).collect();
-        let outcomes = try_run_configs(configs);
-        assert_eq!(outcomes.len(), n);
-        for (i, outcome) in outcomes.iter().enumerate() {
-            let r = outcome.as_ref().unwrap_or_else(|e| panic!("row {i}: {e}"));
-            assert_eq!(r.seed, i as u64, "row {i} out of input order");
-        }
     }
 
     #[test]
@@ -1054,94 +812,14 @@ mod tests {
             tserver_link_bps: 0,
             ..small(2, 1)
         };
-        let outcomes = try_run_configs(vec![small(2, 1), poisoned, small(3, 2)]);
+        let outcomes =
+            try_run_configs_streamed(vec![small(2, 1), poisoned, small(3, 2)], |_, _| {});
         assert_eq!(outcomes.len(), 3);
         assert_eq!(outcomes[0].as_ref().map(|r| r.devs), Ok(2));
         assert_eq!(outcomes[2].as_ref().map(|r| r.devs), Ok(3));
         let err = outcomes[1].as_ref().expect_err("zero-rate link must panic");
-        assert!(err.contains("run 1 panicked"), "got: {err}");
+        assert!(err.starts_with("run 1 panicked at "), "got: {err}");
         assert!(err.contains(".rs:"), "panic location missing from: {err}");
-    }
-
-    #[test]
-    fn panic_location_slot_is_consumed_per_thread() {
-        install_location_hook();
-        let outcome = catch_unwind(AssertUnwindSafe(|| -> u32 { panic!("boom") }));
-        assert!(outcome.is_err());
-        let loc = take_panic_location();
-        assert!(
-            loc.contains("experiment.rs"),
-            "location hook must capture this file, got: '{loc}'"
-        );
-        assert_eq!(take_panic_location(), "", "slot must clear after take");
-    }
-
-    /// Canonical byte representation of a row for identity comparisons:
-    /// the deterministic result JSON for successes, the error string for
-    /// failures.
-    fn row_repr(outcome: &Result<RunResult, String>) -> String {
-        match outcome {
-            Ok(r) => r.to_deterministic_json().to_string_compact(),
-            Err(e) => e.clone(),
-        }
-    }
-
-    #[test]
-    fn streamed_rows_match_batch_including_failures() {
-        let invalid = SimulationConfig { devs: 0, ..small(2, 1) };
-        let poisoned = SimulationConfig {
-            tserver_link_bps: 0,
-            ..small(2, 1)
-        };
-        let configs = vec![small(2, 1), invalid, small(3, 2), poisoned];
-        let batch = try_run_configs(configs.clone());
-        let mut seen: Vec<Option<String>> = vec![None; configs.len()];
-        let streamed = try_run_configs_streamed(configs, |i, outcome| {
-            assert!(seen[i].is_none(), "row {i} delivered twice");
-            seen[i] = Some(row_repr(outcome));
-        });
-        assert_eq!(batch.len(), streamed.len());
-        for (i, (b, s)) in batch.iter().zip(&streamed).enumerate() {
-            assert_eq!(row_repr(b), row_repr(s), "row {i} differs from batch");
-            let cb = seen[i].as_ref().unwrap_or_else(|| panic!("row {i} never delivered"));
-            assert_eq!(cb, &row_repr(b), "callback row {i} differs from batch");
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
-        #[test]
-        fn streamed_rows_are_byte_identical_to_batch(
-            seeds in proptest::collection::vec(proptest::any::<u64>(), 1..5)
-        ) {
-            // Derive a mixed bag from each seed: valid rows of varying
-            // size, invalid rows (devs = 0 fails validation), and poisoned
-            // rows (a zero-rate TServer link panics mid-run) — the error
-            // strings must be byte-identical too.
-            let configs: Vec<SimulationConfig> = seeds
-                .iter()
-                .map(|&s| {
-                    let mut c = small(2 + (s % 2) as usize, s % 16);
-                    match s % 5 {
-                        0 => c.devs = 0,
-                        1 => c.tserver_link_bps = 0,
-                        _ => {}
-                    }
-                    c
-                })
-                .collect();
-            let batch = try_run_configs(configs.clone());
-            let mut seen: Vec<Option<String>> = vec![None; configs.len()];
-            let streamed = try_run_configs_streamed(configs, |i, outcome| {
-                proptest::prop_assert!(seen[i].is_none(), "row {} delivered twice", i);
-                seen[i] = Some(row_repr(outcome));
-            });
-            for (i, (b, s)) in batch.iter().zip(&streamed).enumerate() {
-                proptest::prop_assert_eq!(&row_repr(b), &row_repr(s), "row {} differs", i);
-                let cb = seen[i].clone().expect("every row delivered");
-                proptest::prop_assert_eq!(cb, row_repr(b), "callback row {} differs", i);
-            }
-        }
     }
 
     #[test]
@@ -1212,22 +890,29 @@ mod tests {
         );
     }
 
-    #[test]
-    fn run_suffixes_empty_and_identity() {
+    fn parent_at_20s() -> Ddosim {
         let mut parent = Ddosim::new(small(3, 11)).expect("valid");
         parent.run_prefix(Duration::from_secs(20)).expect("prefix runs");
-        assert!(run_suffixes(&parent, &[]).is_empty());
+        parent
+    }
+
+    fn results(rows: &[Result<SuffixOutcome, String>]) -> Vec<Result<&RunResult, &String>> {
+        rows.iter().map(|row| row.as_ref().map(|o| &o.result)).collect()
+    }
+
+    #[test]
+    fn run_suffixes_empty_and_identity() {
+        let parent = parent_at_20s();
+        assert!(run_suffixes_streamed(&parent, &[], |_, _| {}).is_empty());
         let straight = Ddosim::new(small(3, 11)).expect("valid").run_to_completion();
-        let rows = run_suffixes(
+        let rows = run_suffixes_streamed(
             &parent,
-            &[
-                crate::suffix::SuffixSpec::identity("a"),
-                crate::suffix::SuffixSpec::identity("b"),
-            ],
+            &[SuffixSpec::identity("a"), SuffixSpec::identity("b")],
+            |_, _| {},
         );
         assert_eq!(rows.len(), 2);
-        for row in &rows {
-            let r = row.as_ref().expect("identity suffix completes");
+        for row in results(&rows) {
+            let r = row.expect("identity suffix completes");
             assert_eq!(r.packets_sent, straight.packets_sent);
             assert_eq!(r.flood_packets_received, straight.flood_packets_received);
         }
@@ -1235,20 +920,36 @@ mod tests {
 
     #[test]
     fn run_suffixes_bad_horizon_costs_only_its_row() {
-        let mut parent = Ddosim::new(small(3, 11)).expect("valid");
-        parent.run_prefix(Duration::from_secs(20)).expect("prefix runs");
-        let bad = crate::suffix::SuffixSpec {
+        let bad = SuffixSpec {
             horizon: Some(Duration::from_secs(1)),
-            ..crate::suffix::SuffixSpec::identity("bad")
+            ..SuffixSpec::identity("bad")
         };
-        let rows = run_suffixes(
-            &parent,
-            &[crate::suffix::SuffixSpec::identity("ok"), bad],
-        );
+        let rows =
+            run_suffixes_streamed(&parent_at_20s(), &[SuffixSpec::identity("ok"), bad], |_, _| {});
+        let rows = results(&rows);
         assert!(rows[0].is_ok());
-        let err = rows[1].as_ref().expect_err("horizon before attack end");
-        assert!(err.contains("suffix 1 invalid"), "got: {err}");
+        let err = rows[1].expect_err("horizon before attack end");
+        assert!(err.starts_with("suffix 1 invalid: "), "got: {err}");
         assert!(err.contains("horizon"), "got: {err}");
+    }
+
+    #[test]
+    fn run_suffixes_failed_run_costs_only_its_row() {
+        // A checkpoint armed past a suffix's shortened horizon is never
+        // reached: that branch's run fails, its sibling saves it and
+        // completes.
+        let mut parent = parent_at_20s();
+        parent.set_checkpoint_at(Duration::from_secs(44));
+        let short = SuffixSpec {
+            horizon: Some(Duration::from_secs(40)),
+            ..SuffixSpec::identity("short")
+        };
+        let rows =
+            run_suffixes_streamed(&parent, &[SuffixSpec::identity("ok"), short], |_, _| {});
+        let rows = results(&rows);
+        assert!(rows[0].is_ok());
+        let err = rows[1].expect_err("checkpoint beyond the horizon");
+        assert!(err.starts_with("suffix 1 failed: checkpoint time 44.000s"), "got: {err}");
     }
 
     /// Peak resident set (VmHWM) of this process, in kB.
@@ -1265,9 +966,7 @@ mod tests {
 
     #[test]
     fn wide_suffix_sweep_forks_lazily() {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
+        let threads = pool::tests::pool_threads();
         let mut parent = Ddosim::new(small(4, 11)).expect("valid");
         parent.run_prefix(Duration::from_secs(20)).expect("prefix runs");
         let n = threads * 4 + 2;
@@ -1275,24 +974,19 @@ mod tests {
             .map(|i| SuffixSpec::identity(format!("s{i}")))
             .collect();
         let rss_before = peak_rss_kb();
-        let peak = AtomicUsize::new(0);
         let mut delivered = 0usize;
-        let rows = run_suffixes_bounded(
-            &parent,
-            &suffixes,
-            |_, outcome| {
-                assert!(outcome.is_ok());
-                delivered += 1;
-            },
-            &peak,
-        );
+        let rows = run_suffixes_streamed(&parent, &suffixes, |_, outcome| {
+            assert!(outcome.is_ok());
+            delivered += 1;
+        });
         assert_eq!(rows.len(), n);
         assert_eq!(delivered, n);
         assert!(rows.iter().all(Result::is_ok));
         // The precise lazy-forking invariant: live worlds never exceed the
         // pool (running) + the hand-off queue (threads) + the one in the
-        // producer's hand. Eager forking holds all n alive at once.
-        let peak = peak.load(Ordering::Relaxed);
+        // producer's hand. The pool's items are the forks, made by its
+        // producer one at a time; eager forking holds all n alive at once.
+        let peak = pool::tests::last_peak_in_flight();
         assert!(peak >= 1, "at least one fork must have been live");
         assert!(
             peak <= 2 * threads + 2,
@@ -1307,38 +1001,5 @@ mod tests {
             rss_grown_kb < 512 * 1024,
             "wide suffix sweep grew peak RSS by {rss_grown_kb} kB"
         );
-    }
-
-    #[test]
-    fn streamed_suffixes_match_traced_rows() {
-        let mut parent = Ddosim::new(small(3, 11)).expect("valid");
-        parent.run_prefix(Duration::from_secs(20)).expect("prefix runs");
-        let bad = crate::suffix::SuffixSpec {
-            horizon: Some(Duration::from_secs(1)),
-            ..crate::suffix::SuffixSpec::identity("bad")
-        };
-        let suffixes = vec![
-            crate::suffix::SuffixSpec::identity("a"),
-            bad,
-            crate::suffix::SuffixSpec::identity("b"),
-        ];
-        let repr = |o: &Result<SuffixOutcome, String>| match o {
-            Ok(s) => s.result.to_deterministic_json().to_string_compact(),
-            Err(e) => e.clone(),
-        };
-        let batch = run_suffixes_traced(&parent, &suffixes);
-        let mut seen: Vec<Option<String>> = vec![None; suffixes.len()];
-        let streamed = run_suffixes_streamed(&parent, &suffixes, |i, outcome| {
-            assert!(seen[i].is_none(), "row {i} delivered twice");
-            seen[i] = Some(repr(outcome));
-        });
-        for (i, (b, s)) in batch.iter().zip(&streamed).enumerate() {
-            assert_eq!(repr(b), repr(s), "row {i} differs from batch");
-            assert_eq!(
-                seen[i].as_deref(),
-                Some(repr(b).as_str()),
-                "callback row {i} differs from batch"
-            );
-        }
     }
 }

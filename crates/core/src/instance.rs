@@ -1319,7 +1319,7 @@ impl Ddosim {
     /// # Errors
     ///
     /// Returns a message when the world holds unforkable state (a deployed
-    /// ingress filter, a pending opaque [`Simulator::schedule_call`]), when
+    /// ingress filter, or an application that does not fork), when
     /// this run still has an unreached resume point (fork after the
     /// splice), or when the fork's digests diverge from the parent's (a
     /// bug in some layer's fork path).

@@ -34,6 +34,7 @@ pub mod experiment;
 pub mod honeypot;
 pub mod instance;
 pub mod metrics;
+pub mod pool;
 pub mod reboot;
 pub mod record;
 pub mod report;
@@ -46,9 +47,8 @@ pub use config::{
     SimulationConfig, TopologyKind,
 };
 pub use experiment::{
-    crn_compare, install_location_hook, panic_message, run_configs, run_suffixes,
-    run_suffixes_streamed, run_suffixes_traced, take_panic_location, try_run_configs,
-    try_run_configs_streamed, CrnComparison, SuffixOutcome,
+    crn_compare, run_configs, run_suffixes_streamed, try_run_configs_streamed, CrnComparison,
+    SuffixOutcome,
 };
 pub use honeypot::Honeypot;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, PlanError, FAULT_PLAN_SCHEMA};

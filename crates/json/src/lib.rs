@@ -117,7 +117,7 @@ impl Json {
     ///
     /// Returns [`JsonError`] describing the first syntax problem found.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -264,9 +264,17 @@ impl JsonError {
     }
 }
 
+/// Deepest array/object nesting `Json::parse` accepts. The parser
+/// recurses once per level, so without a cap a small hostile document
+/// (`[[[[…`) overflows the thread's stack — an abort no panic handler can
+/// catch. Real documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -312,8 +320,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -684,6 +699,21 @@ mod tests {
         let err = Json::parse("{\"a\": }").expect_err("must fail");
         assert!(err.offset > 0);
         assert!(err.to_string().contains("expected a value"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nested("[", "]", 128)).is_ok());
+        assert!(Json::parse(&nested("{\"a\":", "}", 127).replace(":}", ":[]}")).is_ok());
+        for doc in [nested("[", "]", 129), nested("{\"k\":", "}", 129), nested("[", "]", 50_000)] {
+            let err = Json::parse(&doc).expect_err("too deep");
+            assert_eq!(err.message, "nesting deeper than 128 levels");
+        }
+        // The error points at the first bracket past the limit.
+        assert_eq!(Json::parse(&nested("[", "]", 129)).expect_err("too deep").offset, 128);
     }
 
     #[test]

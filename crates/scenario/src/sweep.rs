@@ -7,16 +7,13 @@
 //! count), and every cell of a replicate runs under the same pinned
 //! [`RngPlan`] — identical world, event, and fault streams — so
 //! cell-to-cell differences are the defense's effect, not reseeded noise.
-//! Rows stream back as workers finish, like
+//! Cells run on the workspace worker pool ([`ddosim_core::pool`]) and
+//! rows stream back as workers finish, like
 //! [`ddosim_core::try_run_configs_streamed`].
 
 use crate::plan::{DefenseSpec, ScenarioPlan};
-use ddosim_core::{
-    install_location_hook, panic_message, take_panic_location, Ddosim, RngPlan, RunResult,
-};
+use ddosim_core::{pool, Ddosim, RngPlan, RunResult};
 use djson::Json;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// One cell of a defense-parameter grid: a label naming the parameters
@@ -191,57 +188,21 @@ pub fn run_grid_streamed(
     mut on_row: impl FnMut(usize, u64, &Result<RunResult, String>),
 ) -> Vec<CellOutcome> {
     let reps = replicates.max(1) as usize;
-    let jobs: Vec<(usize, u64)> = (0..cells.len())
-        .flat_map(|c| (0..reps as u64).map(move |r| (c, r)))
-        .collect();
-    let n = jobs.len();
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .min(n.max(1));
-    install_location_hook();
-    let next = AtomicUsize::new(0);
-    let mut rows: Vec<Option<Result<RunResult, String>>> = (0..n).map(|_| None).collect();
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<RunResult, String>)>();
-    std::thread::scope(|scope| {
-        let jobs = &jobs;
-        let next = &next;
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let j = next.fetch_add(1, Ordering::Relaxed);
-                if j >= n {
-                    break;
-                }
-                let (c, r) = jobs[j];
-                let mut plan = cells[c].plan.clone();
-                plan.pin_noise(base_seed + r, RngPlan::pinned(base_seed + r));
-                let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                    plan.build().map(Ddosim::run_to_completion)
-                })) {
-                    Ok(Ok(result)) => Ok(result),
-                    Ok(Err(msg)) => {
-                        Err(format!("cell {c} replicate {r} invalid: {msg}"))
-                    }
-                    Err(payload) => Err(format!(
-                        "cell {c} replicate {r} panicked{}: {}",
-                        take_panic_location(),
-                        panic_message(&*payload)
-                    )),
-                };
-                if tx.send((j, outcome)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (j, outcome) in rx {
-            let (c, r) = jobs[j];
-            on_row(c, r, &outcome);
-            rows[j] = Some(outcome);
-        }
-    });
-    let mut rows = rows.into_iter().map(|r| r.expect("every job produced"));
+    let rows = pool::run(
+        0..cells.len() * reps,
+        |_, j| {
+            let (c, r) = (j / reps, (j % reps) as u64);
+            let mut plan = cells[c].plan.clone();
+            plan.pin_noise(base_seed + r, RngPlan::pinned(base_seed + r));
+            match pool::isolate(|| plan.build().map(Ddosim::run_to_completion)) {
+                Ok(Ok(result)) => Ok(result),
+                Ok(Err(msg)) => Err(format!("cell {c} replicate {r} invalid: {msg}")),
+                Err(panic) => Err(format!("cell {c} replicate {r} {panic}")),
+            }
+        },
+        |j, row| on_row(j / reps, (j % reps) as u64, row),
+    );
+    let mut rows = rows.into_iter();
     cells
         .iter()
         .map(|cell| {
@@ -487,6 +448,21 @@ mod tests {
             let err = SweepGridPlan::parse(&doc).expect_err("must reject");
             assert!(err.contains(fragment), "error {err:?} does not mention {fragment:?}");
         }
+    }
+
+    #[test]
+    fn poisoned_cell_costs_only_its_rows() {
+        // A zero-rate TServer link passes validation but panics mid-run
+        // once traffic reaches it: that cell's row carries the panic and
+        // its location, the other cell still completes.
+        let mut cells =
+            rate_limit_grid(&rate_limit_plan(), &[64000], &[26, 30]).expect("grid expands");
+        cells[1].plan.config_mut().tserver_link_bps = 0;
+        let out = run_grid_streamed(&cells, 1, 7, |_, _, _| {});
+        assert!(out[0].rows[0].is_ok());
+        let err = out[1].rows[0].as_ref().expect_err("zero-rate link panics");
+        assert!(err.starts_with("cell 1 replicate 0 panicked at "), "got: {err}");
+        assert!(err.contains(".rs:"), "panic location missing from: {err}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! A poisoned job (invalid config, mid-run panic) emits an `error`
 //! frame for that job id and the server keeps serving — the same
-//! per-row `catch_unwind` isolation the sweep paths use.
+//! per-row isolation ([`ddosim_core::pool::isolate`]) the sweep paths use.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -2,8 +2,11 @@
 //! threads, and the job worker pool.
 //!
 //! Threading model (one `Ddosim` world is `!Send` by design, so worlds
-//! are built *inside* worker threads, never moved across them — the same
-//! shape as the sweep runners in `ddosim_core::experiment`):
+//! are built *inside* worker threads, never moved across them). The
+//! workers are long-lived rather than a [`ddosim_core::pool::run`] batch:
+//! jobs keep arriving while earlier ones run, and a job's `error` frame
+//! and the `pending` count behind the idle timeout must change when that
+//! job ends, not when the next one arrives.
 //!
 //! * The accept loop polls a nonblocking listener every 50 ms so it can
 //!   notice shutdown (SIGTERM, a protocol `shutdown` request, or the
@@ -16,21 +19,19 @@
 //! * Workers pull jobs off a shared queue, build the world, attach the
 //!   streaming event sink, run, and emit the final frame. A job that
 //!   fails validation or panics mid-run costs an `error` frame for that
-//!   job id and nothing else: the worker survives (`catch_unwind`, the
-//!   same isolation the sweep paths use) and keeps serving.
+//!   job id and nothing else: the worker survives
+//!   ([`ddosim_core::pool::isolate`], the same isolation the sweep paths
+//!   use) and keeps serving.
 //!
 //! Shutdown drains: queued jobs still run, their frames still deliver,
 //! and `run` returns `Ok(())` once workers and connections are joined.
 
 use crate::framing::{FrameError, LineReader};
 use crate::protocol::{self, Action, JobSpec};
-use ddosim_core::{
-    install_location_hook, panic_message, take_panic_location, Ddosim, Telemetry, TelemetryConfig,
-};
+use ddosim_core::{pool, Ddosim, Telemetry, TelemetryConfig};
 use djson::Json;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
@@ -152,7 +153,6 @@ impl Server {
     /// and per-job failures are reported as `error` frames, never here.
     pub fn run(self) -> Result<(), String> {
         install_sigterm_handler();
-        install_location_hook();
         self.listener
             .set_nonblocking(true)
             .map_err(|e| format!("listener nonblocking: {e}"))?;
@@ -334,19 +334,12 @@ fn worker_loop(rx: &Arc<Mutex<Receiver<Job>>>, pending: &Arc<AtomicUsize>) {
 /// Runs one job with panic isolation: any failure becomes an `error`
 /// frame for this job id, and the worker lives on.
 fn run_one(job: &Job) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_job(job)));
-    match outcome {
-        Ok(Ok(())) => {}
-        Ok(Err(msg)) => send_frame(&job.out, protocol::frame_error(Some(&job.id), &msg)),
-        Err(payload) => {
-            let msg = format!(
-                "job panicked{}: {}",
-                take_panic_location(),
-                panic_message(&*payload)
-            );
-            send_frame(&job.out, protocol::frame_error(Some(&job.id), &msg));
-        }
-    }
+    let msg = match pool::isolate(|| run_job(job)) {
+        Ok(Ok(())) => return,
+        Ok(Err(msg)) => msg,
+        Err(panic) => format!("job {panic}"),
+    };
+    send_frame(&job.out, protocol::frame_error(Some(&job.id), &msg));
 }
 
 /// Builds the world exactly as the offline paths do, attaches the

@@ -117,7 +117,7 @@ fn poisoned_job_reports_an_error_and_the_server_keeps_serving() {
         ..SubmitOptions::default()
     })
     .expect_err("a poisoned job must fail");
-    assert!(err.contains("panicked"), "got: {err}");
+    assert!(err.contains("job panicked at "), "got: {err}");
     assert!(err.contains(".rs:"), "panic location missing from: {err}");
 
     // The worker survived: the very next job on the same single-worker
@@ -227,6 +227,35 @@ fn malformed_and_oversized_lines_get_error_frames_then_service_resumes() {
 }
 
 #[test]
+fn deeply_nested_line_gets_an_error_frame_then_service_resumes() {
+    // 50,000 nested arrays in a ~100 KB line: well under the frame limit,
+    // and deep enough to overflow a recursive parser's stack, which no
+    // panic isolation can catch. The nesting limit turns it into an
+    // ordinary error frame.
+    let deep = format!(
+        r#"{{"schema":"ddosim.serve/1","action":"submit","scenario":{}{}}}"#,
+        "[".repeat(50_000),
+        "]".repeat(50_000)
+    );
+    let submit_line = format!(
+        r#"{{"schema":"ddosim.serve/1","action":"submit","id":"ok","scenario":{}}}"#,
+        PLAN.replace('\n', " ")
+    );
+    let (addr, handle) = start_server(1);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(format!("{deep}\n{submit_line}\n").as_bytes())
+        .and_then(|()| stream.flush())
+        .expect("write");
+    let frames = read_frames(stream, |frames| frames.iter().any(|f| kind(f) == "result"));
+    assert_eq!(kind(&frames[0]), "error", "got {frames:?}");
+    let msg = frames[0].get("error").and_then(Json::as_str).unwrap_or("?");
+    assert!(msg.contains("nesting deeper than 128"), "got: {msg}");
+    assert_eq!(serve::job_id(frames.last().expect("nonempty")), Some("ok"));
+    stop_server(addr, handle);
+}
+
+#[test]
 fn two_jobs_on_one_connection_demux_by_job_id() {
     let (addr, handle) = start_server(2);
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -292,6 +321,36 @@ fn idle_timeout_shuts_the_server_down_cleanly() {
         .join()
         .expect("server thread")
         .expect("idle timeout is a clean exit");
+}
+
+#[test]
+fn a_job_longer_than_the_idle_timeout_is_not_cut_off() {
+    // The idle clock only runs while no job is pending: a job that
+    // outlasts the timeout still delivers its result, and the server
+    // exits by itself once the timeout elapses after the job ended.
+    let idle = Duration::from_millis(150);
+    let server = Server::bind(ServeOptions {
+        listen: "127.0.0.1:0".to_owned(),
+        idle_timeout: Some(idle),
+        workers: Some(1),
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.run());
+    let long_plan = PLAN.replace(r#""devs": 3"#, r#""devs": 200"#);
+    let started = std::time::Instant::now();
+    let outcome = submit(&SubmitOptions {
+        addr: addr.to_string(),
+        scenario: Some(long_plan),
+        ..SubmitOptions::default()
+    })
+    .expect("the job completes despite the idle timeout");
+    assert!(matches!(outcome, SubmitOutcome::Completed { .. }));
+    assert!(
+        started.elapsed() > idle * 2,
+        "the job must outlast the idle timeout for this test to mean anything"
+    );
+    handle.join().expect("server thread").expect("idle timeout is a clean exit");
 }
 
 proptest::proptest! {

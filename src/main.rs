@@ -686,7 +686,7 @@ fn run_scenario_tree(opts: RunOpts) -> Result<(), String> {
         }
     };
     world.run_prefix(plan.fork_at)?;
-    let outcomes = ddosim::run_suffixes_traced(&world, &plan.suffixes);
+    let outcomes = ddosim::run_suffixes_streamed(&world, &plan.suffixes, |_, _| {});
     let mut failures = 0usize;
     let mut rows = Vec::with_capacity(outcomes.len());
     for (spec, outcome) in plan.suffixes.iter().zip(&outcomes) {
