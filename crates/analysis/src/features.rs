@@ -5,7 +5,7 @@
 //! feeding them into an ML model." This module turns the simulator's packet
 //! trace at TServer into per-source, per-window feature vectors.
 
-use netsim::{TraceKind, TraceRecord, TransportProto};
+use netsim::{StateHasher, TraceKind, TraceRecord, TransportProto};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::IpAddr;
 use std::time::Duration;
@@ -52,13 +52,13 @@ impl FlowFeatures {
 }
 
 /// Aggregates delivered-packet trace records into per-source windows.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FeatureExtractor {
     window: Duration,
     acc: BTreeMap<(IpAddr, u64), Acc>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Acc {
     sizes: Vec<f64>,
     times: Vec<f64>,
@@ -93,6 +93,28 @@ impl FeatureExtractor {
         acc.ports.insert(record.dst.port());
         if record.proto == TransportProto::Udp {
             acc.udp += 1;
+        }
+    }
+
+    /// Folds the window length and every accumulated observation into a
+    /// checkpoint digest (what a deployed `ModelFilter` contributes to the
+    /// `netsim.filters` layer).
+    pub fn state_digest(&self, h: &mut StateHasher) {
+        h.write_u64(self.window.as_nanos() as u64);
+        h.write_usize(self.acc.len());
+        for ((src, window), acc) in &self.acc {
+            h.write_ip(*src);
+            h.write_u64(*window);
+            h.write_usize(acc.sizes.len());
+            for (size, time) in acc.sizes.iter().zip(&acc.times) {
+                h.write_f64(*size);
+                h.write_f64(*time);
+            }
+            h.write_usize(acc.ports.len());
+            for port in &acc.ports {
+                h.write_u64(u64::from(*port));
+            }
+            h.write_u64(acc.udp);
         }
     }
 

@@ -9,9 +9,11 @@
 //!   ([`dataset_csv`]) to train other models.
 //! * **Benign traffic generation**: [`BenignClient`] produces the "normal
 //!   traffic to TServer" the defense use case mixes with attack traffic.
-//! * **Deployable mitigations**: [`RateLimiter`] and [`ModelFilter`]
-//!   build `netsim` ingress filters so defenses can be *deployed inside*
-//!   the simulation and their effectiveness measured (§I).
+//! * **Deployable mitigations**: [`ModelFilter`] is a rule for a node's
+//!   `netsim` filter stack, beside netsim's own rate-limit, egress and
+//!   blocklist rules, so defenses can be *deployed inside* the
+//!   simulation and their effectiveness measured (§I) — and a defended
+//!   world still forks and checkpoints.
 //! * **Epidemic models of botnet spread** (§V-A2): SI/SIR ODE integrators
 //!   ([`epidemic`]), plus fitting of the contact rate β to DDoSim's
 //!   *measured* infection curve to test how well the mathematical model
@@ -37,7 +39,7 @@ pub use epidemic::{
     SeirsState, SirParams, SirState,
 };
 pub use features::{dataset_csv, FeatureExtractor, FlowFeatures};
-pub use mitigation::{blocked_fraction, ModelFilter, RateLimiter};
+pub use mitigation::{blocked_fraction, ModelFilter};
 pub use mlp::{Mlp, MlpConfig};
 
 use std::collections::HashSet;

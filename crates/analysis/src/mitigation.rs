@@ -3,141 +3,109 @@
 //! against these attacks in the simulated environment, measuring their
 //! effectiveness in mitigating or preventing exploits" (§I).
 //!
-//! Two network-level defenses are provided as [`IngressFilter`] builders:
+//! Defenses deploy as rules in a node's `netsim` filter stack
+//! ([`netsim::Simulator::push_node_filter`]). The volumetric ones are
+//! built into netsim (per-source token buckets, egress blocks, the
+//! honeypot blocklist); this module adds the one netsim cannot name:
 //!
-//! * [`RateLimiter`] — a per-source token bucket (the classic volumetric
-//!   mitigation);
 //! * [`ModelFilter`] — drops traffic from sources a trained
 //!   [`LogisticRegression`] detector flags, re-scoring each source every
-//!   window (an ML-in-the-loop defense).
+//!   window (an ML-in-the-loop defense). It is a
+//!   [`netsim::CustomFilter`], so a world running it forks and
+//!   checkpoints like any other.
 
 use crate::classify::LogisticRegression;
 use crate::features::{FeatureExtractor, FlowFeatures};
-use netsim::{FilterVerdict, IngressFilter, Packet, SimTime, TraceKind, TraceRecord};
-use std::collections::HashMap;
+use netsim::{
+    CustomFilter, FilterVerdict, NodeId, Packet, SimTime, StateHasher, TraceKind, TraceRecord,
+};
+use std::collections::BTreeSet;
 use std::net::IpAddr;
 use std::time::Duration;
 
-/// A per-source token-bucket rate limiter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateLimiter {
-    /// Sustained allowance per source, bits per second.
-    pub rate_bps: u64,
-    /// Burst allowance per source, bytes.
-    pub burst_bytes: u64,
-}
-
-impl Default for RateLimiter {
-    fn default() -> Self {
-        RateLimiter {
-            rate_bps: 64_000,
-            burst_bytes: 16 * 1024,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Bucket {
-    tokens: f64,
-    last: SimTime,
-}
-
-impl RateLimiter {
-    /// Builds the structured (forkable, digestible) form of this limiter:
-    /// a [`netsim::FilterRule::RateLimit`] with the same refill and cost
-    /// semantics as [`RateLimiter::into_filter`]. Scenario-scheduled
-    /// defenses deploy this via [`netsim::Simulator::push_node_filter`]
-    /// because closure filters cannot survive a fork or checkpoint.
-    pub fn into_rule(self) -> netsim::FilterRule {
-        netsim::FilterRule::RateLimit {
-            rate_bps: self.rate_bps,
-            burst_bytes: self.burst_bytes,
-            buckets: std::collections::BTreeMap::new(),
-        }
-    }
-
-    /// Builds the deployable filter.
-    pub fn into_filter(self) -> IngressFilter {
-        let mut buckets: HashMap<IpAddr, Bucket> = HashMap::new();
-        let rate = self.rate_bps as f64 / 8.0; // bytes per second
-        let burst = self.burst_bytes as f64;
-        Box::new(move |packet: &Packet, now: SimTime| {
-            let bucket = buckets.entry(packet.src.ip()).or_insert(Bucket {
-                tokens: burst,
-                last: now,
-            });
-            let elapsed = now.saturating_since(bucket.last).as_secs_f64();
-            bucket.last = now;
-            bucket.tokens = (bucket.tokens + elapsed * rate).min(burst);
-            let cost = f64::from(packet.wire_bytes());
-            if bucket.tokens >= cost {
-                bucket.tokens -= cost;
-                FilterVerdict::Allow
-            } else {
-                FilterVerdict::Drop
-            }
-        })
-    }
-}
-
-/// An ML-in-the-loop filter: accumulates per-source flow features over a
-/// window, scores each source with the trained detector at the window
-/// boundary, and drops packets from flagged sources in the next window.
-#[derive(Debug)]
+/// An ML-in-the-loop filter rule: accumulates per-source flow features
+/// over a window, scores each source with the trained detector at the
+/// window boundary, and drops packets from flagged sources in the next
+/// window. Deploy it as `netsim::FilterRule::Custom(Box::new(filter))`.
+#[derive(Debug, Clone)]
 pub struct ModelFilter {
-    /// The trained detector.
-    pub model: LogisticRegression,
-    /// Scoring window.
-    pub window: Duration,
-    /// Probability threshold above which a source is blocked.
-    pub threshold: f64,
+    model: LogisticRegression,
+    window: Duration,
+    threshold: f64,
+    extractor: FeatureExtractor,
+    current_window: u64,
+    blocked: BTreeSet<IpAddr>,
 }
 
 impl ModelFilter {
-    /// Builds the deployable filter.
-    pub fn into_filter(self) -> IngressFilter {
-        let ModelFilter {
+    /// A filter scoring every `window` with `model`, blocking sources whose
+    /// attack probability is at least `threshold`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is zero.
+    pub fn new(model: LogisticRegression, window: Duration, threshold: f64) -> Self {
+        ModelFilter {
             model,
             window,
             threshold,
-        } = self;
-        let mut extractor = FeatureExtractor::new(window);
-        let mut blocked: HashMap<IpAddr, bool> = HashMap::new();
-        let mut current_window: u64 = 0;
-        let window_secs = window.as_secs_f64();
-        Box::new(move |packet: &Packet, now: SimTime| {
-            let w = (now.as_secs_f64() / window_secs) as u64;
-            if w > current_window {
-                // Window rolled over: score what we saw and reset.
-                let features = std::mem::replace(&mut extractor, FeatureExtractor::new(window))
+            extractor: FeatureExtractor::new(window),
+            current_window: 0,
+            blocked: BTreeSet::new(),
+        }
+    }
+}
+
+impl CustomFilter for ModelFilter {
+    fn verdict(&mut self, packet: &Packet, now: SimTime) -> FilterVerdict {
+        let w = (now.as_secs_f64() / self.window.as_secs_f64()) as u64;
+        if w > self.current_window {
+            // Window rolled over: score what we saw and reset.
+            let features =
+                std::mem::replace(&mut self.extractor, FeatureExtractor::new(self.window))
                     .finish();
-                blocked.clear();
-                for f in features {
-                    let p = model.predict_probability(&f.vector());
-                    if p >= threshold {
-                        blocked.insert(f.src, true);
-                    }
+            self.blocked.clear();
+            for f in features {
+                if self.model.predict_probability(&f.vector()) >= self.threshold {
+                    self.blocked.insert(f.src);
                 }
-                current_window = w;
             }
-            // Record this packet for the next scoring round (as a
-            // delivered-at-this-node observation).
-            extractor.push(&TraceRecord {
-                time: now,
-                kind: TraceKind::Delivered,
-                node: netsim::NodeId::from_index(0),
-                packet_id: packet.id,
-                src: packet.src,
-                dst: packet.dst,
-                proto: packet.proto,
-                wire_bytes: packet.wire_bytes(),
-            });
-            if blocked.contains_key(&packet.src.ip()) {
-                FilterVerdict::Drop
-            } else {
-                FilterVerdict::Allow
-            }
-        })
+            self.current_window = w;
+        }
+        // Record this packet for the next scoring round (as a
+        // delivered-at-this-node observation).
+        self.extractor.push(&TraceRecord {
+            time: now,
+            kind: TraceKind::Delivered,
+            node: NodeId::from_index(0),
+            packet_id: packet.id,
+            src: packet.src,
+            dst: packet.dst,
+            proto: packet.proto,
+            wire_bytes: packet.wire_bytes(),
+        });
+        if self.blocked.contains(&packet.src.ip()) {
+            FilterVerdict::Drop
+        } else {
+            FilterVerdict::Allow
+        }
+    }
+
+    fn clone_box(&self) -> Box<dyn CustomFilter> {
+        Box::new(self.clone())
+    }
+
+    /// The trained model never changes once deployed; the digest covers
+    /// what does: the threshold, the open window, its observations and the
+    /// blocked set.
+    fn state_digest(&self, h: &mut StateHasher) {
+        h.write_f64(self.threshold);
+        h.write_u64(self.current_window);
+        self.extractor.state_digest(h);
+        h.write_usize(self.blocked.len());
+        for src in &self.blocked {
+            h.write_ip(*src);
+        }
     }
 }
 
@@ -158,7 +126,9 @@ pub fn blocked_fraction(model: &LogisticRegression, threshold: f64, flows: &[Flo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::{synthetic_dataset, TrainConfig};
     use netsim::{Payload, TransportProto};
+    use rand::SeedableRng;
     use std::net::SocketAddr;
 
     fn pkt(src_last: u8, bytes: u32) -> Packet {
@@ -172,155 +142,59 @@ mod tests {
         )
     }
 
-    #[test]
-    fn rate_limiter_allows_within_budget() {
-        let mut f = RateLimiter {
-            rate_bps: 80_000, // 10 kB/s
-            burst_bytes: 1_000,
-        }
-        .into_filter();
-        // One 540-byte packet per second is well under budget.
-        for s in 0..10 {
-            let verdict = f(&pkt(1, 540), SimTime::from_secs(s));
-            assert_eq!(verdict, FilterVerdict::Allow, "second {s}");
-        }
+    fn trained_filter() -> ModelFilter {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
+        let model =
+            LogisticRegression::train(&synthetic_dataset(200, &mut rng), TrainConfig::default());
+        ModelFilter::new(model, Duration::from_secs(1), 0.5)
     }
 
-    #[test]
-    fn rate_limiter_drops_floods_but_not_other_sources() {
-        let mut f = RateLimiter {
-            rate_bps: 80_000,
-            burst_bytes: 1_000,
-        }
-        .into_filter();
-        // Source 1 floods within one instant: burst exhausts quickly.
-        let mut dropped = 0;
-        for _ in 0..50 {
-            if f(&pkt(1, 540), SimTime::from_secs(1)) == FilterVerdict::Drop {
-                dropped += 1;
-            }
-        }
-        assert!(dropped > 40, "flood mostly dropped, got {dropped}");
-        // Source 2 is unaffected (independent bucket).
-        assert_eq!(f(&pkt(2, 540), SimTime::from_secs(1)), FilterVerdict::Allow);
-    }
-
-    #[test]
-    fn rate_limiter_refills_over_time() {
-        let mut f = RateLimiter {
-            rate_bps: 80_000,
-            burst_bytes: 600,
-        }
-        .into_filter();
-        assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Allow);
-        assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Drop);
-        // After a second, 10 kB of tokens accrued (capped at burst 600).
-        assert_eq!(f(&pkt(1, 540), SimTime::from_secs(1)), FilterVerdict::Allow);
-    }
-
-    #[test]
-    fn zero_rate_admits_only_the_initial_burst() {
-        // rate_bps = 0: the bucket never refills, so exactly the initial
-        // burst passes and everything after is dropped forever.
-        let mut f = RateLimiter {
-            rate_bps: 0,
-            burst_bytes: 1_080, // two 540-byte packets
-        }
-        .into_filter();
-        assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Allow);
-        assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Allow);
-        assert_eq!(f(&pkt(1, 540), SimTime::from_secs(0)), FilterVerdict::Drop);
-        // Even hours later nothing has refilled.
-        assert_eq!(f(&pkt(1, 540), SimTime::from_secs(3600)), FilterVerdict::Drop);
-    }
-
-    #[test]
-    fn burst_exhaustion_is_exact() {
-        // The burst is an exact byte budget: a packet that fits passes,
-        // the first packet that would overdraw is dropped, and the budget
-        // does not leak across the drop (tokens are only spent on Allow).
-        let mut f = RateLimiter {
-            rate_bps: 0,
-            burst_bytes: 1_000,
-        }
-        .into_filter();
-        let t = SimTime::from_secs(0);
-        assert_eq!(f(&pkt(1, 600), t), FilterVerdict::Allow, "600 spent, 400 left");
-        assert_eq!(f(&pkt(1, 600), t), FilterVerdict::Drop, "600 > 400 remaining");
-        // The failed 600-byte packet spent nothing: a 400-byte one fits.
-        assert_eq!(f(&pkt(1, 400), t), FilterVerdict::Allow, "exact remainder fits");
-        assert_eq!(f(&pkt(1, 29), t), FilterVerdict::Drop, "budget now empty");
-    }
-
-    #[test]
-    fn refill_is_deterministic_across_identical_runs() {
-        // Two identically-configured limiters fed the identical packet
-        // schedule (the same-seed case: deterministic sims present the
-        // same arrival sequence) must agree on every verdict.
-        let run = || -> Vec<FilterVerdict> {
-            let mut f = RateLimiter {
-                rate_bps: 24_000, // 3 kB/s — under the ~4.9 kB/s offered per source
-                burst_bytes: 2_000,
-            }
-            .into_filter();
-            let mut verdicts = Vec::new();
-            for i in 0..200u64 {
-                let t = SimTime::from_millis(i * 37);
-                let src = (i % 3) as u8 + 1;
-                verdicts.push(f(&pkt(src, 540), t));
-            }
-            verdicts
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same schedule, same verdicts");
-        assert!(a.contains(&FilterVerdict::Drop), "schedule exercises drops");
-        assert!(a.contains(&FilterVerdict::Allow), "schedule exercises allows");
-    }
-
-    #[test]
-    fn structured_rule_matches_closure_filter_verdicts() {
-        // into_rule() must be semantically identical to into_filter(): run
-        // the same packet schedule through both and compare verdicts.
-        let limiter = RateLimiter {
-            rate_bps: 24_000,
-            burst_bytes: 2_000,
-        };
-        let mut closure = limiter.into_filter();
-        let mut stack = netsim::FilterStack::default();
-        stack.push(limiter.into_rule());
-        let blocklist = std::collections::BTreeSet::new();
-        for i in 0..200u64 {
-            let t = SimTime::from_millis(i * 37);
-            let p = pkt((i % 3) as u8 + 1, 540);
-            assert_eq!(
-                closure(&p, t),
-                stack.verdict(&p, t, &blocklist),
-                "packet {i} diverged"
-            );
-        }
+    fn digest(f: &dyn CustomFilter) -> u64 {
+        let mut h = StateHasher::new();
+        f.state_digest(&mut h);
+        h.finish()
     }
 
     #[test]
     fn model_filter_blocks_flagged_sources_after_a_window() {
-        use crate::classify::{synthetic_dataset, LogisticRegression, TrainConfig};
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
-        let model =
-            LogisticRegression::train(&synthetic_dataset(200, &mut rng), TrainConfig::default());
-        let mut f = ModelFilter {
-            model,
-            window: Duration::from_secs(1),
-            threshold: 0.5,
-        }
-        .into_filter();
+        let mut f = trained_filter();
         // Window 0: a flood from source 1 (100 × 540B constant-size).
         for i in 0..100 {
             let t = SimTime::from_millis(i * 10);
-            let _ = f(&pkt(1, 540), t);
+            let _ = f.verdict(&pkt(1, 540), t);
         }
         // Window 1: the source should now be blocked.
-        let verdict = f(&pkt(1, 540), SimTime::from_millis(1500));
+        let verdict = f.verdict(&pkt(1, 540), SimTime::from_millis(1500));
         assert_eq!(verdict, FilterVerdict::Drop, "flood source blocked after scoring");
+    }
+
+    #[test]
+    fn a_clone_continues_exactly_where_the_original_is() {
+        // Mid-window state (observations, blocked set) is cloned, not
+        // reset: the clone and the original agree on every later verdict
+        // and digest, the property a forked world relies on.
+        let mut a = trained_filter();
+        for i in 0..150 {
+            let _ = a.verdict(&pkt((i % 2) as u8 + 1, 540), SimTime::from_millis(i * 10));
+        }
+        let mut b = a.clone_box();
+        assert_eq!(digest(&a), digest(b.as_ref()));
+        for i in 150..400 {
+            let p = pkt((i % 3) as u8 + 1, 540);
+            let t = SimTime::from_millis(i * 10);
+            assert_eq!(a.verdict(&p, t), b.verdict(&p, t), "packet {i}");
+        }
+        assert_eq!(digest(&a), digest(b.as_ref()));
+    }
+
+    #[test]
+    fn digest_tracks_observations_and_scoring() {
+        let mut f = trained_filter();
+        let fresh = digest(&f);
+        let _ = f.verdict(&pkt(1, 540), SimTime::ZERO);
+        let observed = digest(&f);
+        assert_ne!(fresh, observed, "an observation must change the digest");
+        let _ = f.verdict(&pkt(1, 540), SimTime::from_millis(1500));
+        assert_ne!(observed, digest(&f), "a window roll-over must change the digest");
     }
 }

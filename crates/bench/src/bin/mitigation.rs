@@ -11,11 +11,14 @@
 
 use analysis::{
     label_samples, train_test_split, BenignClient, FeatureExtractor, LogisticRegression,
-    ModelFilter, RateLimiter, TrainConfig,
+    ModelFilter, TrainConfig,
 };
 use ddosim_core::report::{fmt_f, Table};
 use ddosim_core::{AttackSpec, Ddosim, SimulationBuilder};
-use netsim::{LinkConfig, SimTime, TraceKind, TraceRecord};
+use netsim::{
+    FilterRule, LinkConfig, SimTime, TraceKind, TraceRecord, DEFAULT_RATE_LIMIT_BPS,
+    DEFAULT_RATE_LIMIT_BURST_BYTES,
+};
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::net::{IpAddr, SocketAddr};
@@ -83,7 +86,12 @@ fn run(
                 SimTime::from_secs(39),
                 "defense.rate_limit",
                 fabric,
-                |sim, fabric| sim.set_ingress_filter(fabric, RateLimiter::default().into_filter()),
+                |sim, fabric| {
+                    sim.push_node_filter(
+                        fabric,
+                        FilterRule::rate_limit(DEFAULT_RATE_LIMIT_BPS, DEFAULT_RATE_LIMIT_BURST_BYTES),
+                    )
+                },
             );
         }
         Defense::Model(model) => {
@@ -92,15 +100,8 @@ fn run(
                 "defense.model_filter",
                 (fabric, Arc::new(model)),
                 |sim, (fabric, model)| {
-                    sim.set_ingress_filter(
-                        fabric,
-                        ModelFilter {
-                            model: (*model).clone(),
-                            window: Duration::from_secs(2),
-                            threshold: 0.5,
-                        }
-                        .into_filter(),
-                    );
+                    let filter = ModelFilter::new((*model).clone(), Duration::from_secs(2), 0.5);
+                    sim.push_node_filter(fabric, FilterRule::Custom(Box::new(filter)));
                 },
             );
         }

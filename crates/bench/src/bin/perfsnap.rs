@@ -520,14 +520,7 @@ fn scenario_gauge(cells: usize, devs_per_cell: usize, sim_secs: u64) -> djson::J
         build_large_topology_with_nodes(cells, devs_per_cell, true);
     // Generous per-source budget: the gauge measures filter evaluation
     // cost, not drop behavior, so the buckets rarely run dry.
-    sim.push_node_filter(
-        tserver,
-        netsim::FilterRule::RateLimit {
-            rate_bps: 1_000_000,
-            burst_bytes: 64 * 1024,
-            buckets: std::collections::BTreeMap::new(),
-        },
-    );
+    sim.push_node_filter(tserver, netsim::FilterRule::rate_limit(1_000_000, 64 * 1024));
     sim.push_node_filter(
         backbone,
         netsim::FilterRule::EgressBlock { dst: target.ip(), port: Some(80) },

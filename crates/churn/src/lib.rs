@@ -33,6 +33,25 @@ pub enum ChurnMode {
     Dynamic,
 }
 
+impl ChurnMode {
+    /// The mode's tag in CLI flags, plans, checkpoints and results:
+    /// `none`, `static` or `dynamic`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ChurnMode::None => "none",
+            ChurnMode::Static => "static",
+            ChurnMode::Dynamic => "dynamic",
+        }
+    }
+
+    /// Parses a tag written by [`ChurnMode::as_str`].
+    pub fn parse(tag: &str) -> Option<ChurnMode> {
+        [ChurnMode::None, ChurnMode::Static, ChurnMode::Dynamic]
+            .into_iter()
+            .find(|mode| mode.as_str() == tag)
+    }
+}
+
 impl std::fmt::Display for ChurnMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -245,6 +264,14 @@ impl Application for ChurnController {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn churn_tags_round_trip() {
+        for mode in [ChurnMode::None, ChurnMode::Static, ChurnMode::Dynamic] {
+            assert_eq!(ChurnMode::parse(mode.as_str()), Some(mode));
+        }
+        assert_eq!(ChurnMode::parse("sometimes"), None);
+    }
 
     #[test]
     fn leaving_factor_formula() {

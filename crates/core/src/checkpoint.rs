@@ -199,23 +199,6 @@ fn arch_from_str(s: &str) -> Result<Arch, String> {
     }
 }
 
-fn churn_to_str(mode: ChurnMode) -> &'static str {
-    match mode {
-        ChurnMode::None => "none",
-        ChurnMode::Static => "static",
-        ChurnMode::Dynamic => "dynamic",
-    }
-}
-
-fn churn_from_str(s: &str) -> Result<ChurnMode, String> {
-    match s {
-        "none" => Ok(ChurnMode::None),
-        "static" => Ok(ChurnMode::Static),
-        "dynamic" => Ok(ChurnMode::Dynamic),
-        other => Err(format!("unknown churn mode '{other}'")),
-    }
-}
-
 fn strategy_to_str(s: ExploitStrategy) -> &'static str {
     match s {
         ExploitStrategy::LeakRebase => "leak_rebase",
@@ -427,7 +410,7 @@ pub fn config_to_json(c: &SimulationConfig) -> Json {
         ("tserver_link_bps", Json::U64(c.tserver_link_bps)),
         ("tserver_queue_bytes", Json::U64(c.tserver_queue_bytes)),
         ("access_delay_nanos", nanos(c.access_delay)),
-        ("churn", Json::Str(churn_to_str(c.churn).into())),
+        ("churn", Json::Str(c.churn.as_str().into())),
         (
             "attack",
             Json::obj([
@@ -549,7 +532,10 @@ pub fn config_from_json(json: &Json) -> Result<SimulationConfig, String> {
         tserver_link_bps: u64_field(json, "tserver_link_bps")?,
         tserver_queue_bytes: u64_field(json, "tserver_queue_bytes")?,
         access_delay: nanos_field(json, "access_delay_nanos")?,
-        churn: churn_from_str(str_field(json, "churn")?)?,
+        churn: {
+            let tag = str_field(json, "churn")?;
+            ChurnMode::parse(tag).ok_or_else(|| format!("unknown churn mode '{tag}'"))?
+        },
         attack: AttackSpec {
             vector,
             duration: nanos_field(attack_json, "duration_nanos")?,

@@ -83,6 +83,52 @@ pub enum Recruitment {
     },
 }
 
+impl Recruitment {
+    /// Parses the spec grammar shared by `ddosim --recruitment` and a
+    /// plan's `world.recruitment`: `memory-error`,
+    /// `scanner:<cred-fraction>` or `worm:<cred-fraction>:<seeds>`.
+    pub fn parse_spec(spec: &str) -> Result<Recruitment, SpecError> {
+        match spec.split(':').collect::<Vec<_>>().as_slice() {
+            ["memory-error"] => Ok(Recruitment::MemoryError),
+            ["scanner", f] => Ok(Recruitment::CredentialScanner {
+                default_credential_fraction: spec_field("scanner", "credential fraction", f)?,
+            }),
+            ["worm", f, s] => Ok(Recruitment::SelfPropagating {
+                default_credential_fraction: spec_field("worm", "credential fraction", f)?,
+                seeds: spec_field("worm", "seed count", s)?,
+            }),
+            _ => Err(SpecError::Unknown),
+        }
+    }
+}
+
+/// Why a recruitment or topology spec did not parse. Callers word the
+/// message with their own context (a CLI flag or a plan field).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// The spec has none of the grammar's shapes.
+    Unknown,
+    /// A numeric field of a `mode:...` spec did not parse.
+    BadField {
+        /// The spec's mode word (`scanner`, `worm`, `tiered`).
+        mode: &'static str,
+        /// Which field, in words (`seed count`, ...).
+        field: &'static str,
+        /// The number parser's error.
+        reason: String,
+    },
+}
+
+fn spec_field<T: std::str::FromStr>(
+    mode: &'static str,
+    field: &'static str,
+    text: &str,
+) -> Result<T, SpecError>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e: T::Err| SpecError::BadField { mode, field, reason: e.to_string() })
+}
 
 /// Shape of the simulated Internet joining the components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,6 +151,22 @@ pub enum TopologyKind {
     /// shaped to their IoT access rates; the Attacker and TServer connect
     /// to the router over wired links.
     Wifi,
+}
+
+impl TopologyKind {
+    /// Parses the spec grammar shared by `ddosim --topology` and a plan's
+    /// `world.topology`: `star`, `wifi` or `tiered:<regions>:<uplink-bps>`.
+    pub fn parse_spec(spec: &str) -> Result<TopologyKind, SpecError> {
+        match spec.split(':').collect::<Vec<_>>().as_slice() {
+            ["star"] => Ok(TopologyKind::Star),
+            ["wifi"] => Ok(TopologyKind::Wifi),
+            ["tiered", r, bps] => Ok(TopologyKind::Tiered {
+                regions: spec_field("tiered", "region count", r)?,
+                region_uplink_bps: spec_field("tiered", "uplink rate", bps)?,
+            }),
+            _ => Err(SpecError::Unknown),
+        }
+    }
 }
 
 /// Per-subsystem RNG stream plan — the first-class handle on the seed
@@ -619,6 +681,30 @@ impl SimulationBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn specs_parse_or_name_the_bad_field() {
+        assert_eq!(Recruitment::parse_spec("memory-error"), Ok(Recruitment::MemoryError));
+        assert_eq!(
+            Recruitment::parse_spec("worm:0.5:3"),
+            Ok(Recruitment::SelfPropagating { default_credential_fraction: 0.5, seeds: 3 })
+        );
+        assert_eq!(Recruitment::parse_spec("worm:0.5"), Err(SpecError::Unknown));
+        assert!(matches!(
+            Recruitment::parse_spec("worm:0.5:many"),
+            Err(SpecError::BadField { mode: "worm", field: "seed count", .. })
+        ));
+        assert_eq!(
+            TopologyKind::parse_spec("tiered:3:10000000"),
+            Ok(TopologyKind::Tiered { regions: 3, region_uplink_bps: 10_000_000 })
+        );
+        assert_eq!(TopologyKind::parse_spec("wifi"), Ok(TopologyKind::Wifi));
+        assert_eq!(TopologyKind::parse_spec("mesh"), Err(SpecError::Unknown));
+        assert!(matches!(
+            TopologyKind::parse_spec("tiered:x:1"),
+            Err(SpecError::BadField { mode: "tiered", .. })
+        ));
+    }
 
     #[test]
     fn default_config_is_valid() {

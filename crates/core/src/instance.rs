@@ -17,9 +17,8 @@ use crate::config::TopologyKind;
 use netsim::topology::{StarMember, StarTopology, TieredTopology, WifiTopology};
 use netsim::{
     AppId, Category, ForkClone, ForkMap, LinkConfig, LinkId, NodeId, SimTime, Simulator,
-    Telemetry, TraceKind, TraceRecord, WifiConfig,
+    Telemetry, WifiConfig,
 };
-use telemetry::CaptureRecord;
 use protocols::{mirai_dictionary, Credential, DNS_PORT};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,26 +60,6 @@ pub struct DevInfo {
     pub container: ContainerHandle,
     /// The daemon application.
     pub daemon_app: AppId,
-}
-
-/// Converts a netsim trace record into a telemetry capture record (the
-/// pcap-row shape the capture sink stores and filters on).
-fn capture_record(rec: &TraceRecord) -> CaptureRecord {
-    CaptureRecord {
-        time_nanos: rec.time.as_nanos(),
-        kind: match rec.kind {
-            TraceKind::Sent => "sent".to_owned(),
-            TraceKind::Delivered => "delivered".to_owned(),
-            TraceKind::Forwarded => "forwarded".to_owned(),
-            TraceKind::Dropped(reason) => format!("dropped:{}", reason.as_str()),
-        },
-        node: rec.node.index() as u32,
-        packet_id: rec.packet_id,
-        src: rec.src,
-        dst: rec.dst,
-        proto: rec.proto.to_string(),
-        wire_bytes: rec.wire_bytes,
-    }
 }
 
 /// State threaded through the self-rescheduling metrics sampler. The
@@ -378,12 +357,6 @@ impl Ddosim {
             telemetry.set_suppressed(true);
         }
         sim.set_telemetry(telemetry.clone());
-        if telemetry.captures_packets() {
-            let hook = telemetry.clone();
-            sim.set_trace(Box::new(move |rec: &TraceRecord| {
-                hook.capture_packet(|| capture_record(rec));
-            }));
-        }
         // Separate construction RNG: keeps topology sampling independent of
         // the event-time RNG stream (same seed → same world). The RngPlan
         // can pin this stream so CRN-paired configs build identical worlds.
@@ -1318,8 +1291,8 @@ impl Ddosim {
     ///
     /// # Errors
     ///
-    /// Returns a message when the world holds unforkable state (a deployed
-    /// ingress filter, or an application that does not fork), when
+    /// Returns a message when the world holds unforkable state (an
+    /// application that does not fork), when
     /// this run still has an unreached resume point (fork after the
     /// splice), or when the fork's digests diverge from the parent's (a
     /// bug in some layer's fork path).
@@ -1335,14 +1308,7 @@ impl Ddosim {
         let mut map = ForkMap::new();
         let runtime = self.runtime.fork(&mut map);
         let mut sim = self.sim.fork(&map)?;
-        let telemetry = self.sim.telemetry().deep_fork();
-        sim.set_telemetry(telemetry.clone());
-        if telemetry.captures_packets() {
-            let hook = telemetry.clone();
-            sim.set_trace(Box::new(move |rec: &TraceRecord| {
-                hook.capture_packet(|| capture_record(rec));
-            }));
-        }
+        sim.set_telemetry(self.sim.telemetry().deep_fork());
         let devs: Vec<DevInfo> = self
             .devs
             .iter()

@@ -44,7 +44,7 @@ pub mod suffix;
 pub use checkpoint::{Checkpoint, CHECKPOINT_SCHEMA};
 pub use config::{
     AttackSpec, BinaryMix, DaemonKind, ExploitStrategy, Recruitment, RngPlan, SimulationBuilder,
-    SimulationConfig, TopologyKind,
+    SimulationConfig, SpecError, TopologyKind,
 };
 pub use experiment::{
     crn_compare, run_configs, run_suffixes_streamed, try_run_configs_streamed, CrnComparison,

@@ -1,27 +1,70 @@
-//! Structured, forkable filter rules — the schedulable defense layer.
+//! Structured, forkable filter rules — the simulator's one packet-filter
+//! mechanism.
 //!
-//! The original [`crate::IngressFilter`] is an opaque boxed closure: great
-//! for ad-hoc experiments, but it cannot be forked (deep-cloned) or folded
-//! into checkpoint digests. Scenario-deployed defenses instead use
-//! [`FilterRule`]s: plain data the simulator owns, applies on every packet
-//! arrival, clones on fork, and digests per layer (`netsim.filters`).
+//! Every deployed defense is a [`FilterRule`] in a node's [`FilterStack`]:
+//! state the simulator owns, applies on every packet arrival (local and
+//! transit), clones on fork, and digests per layer (`netsim.filters`).
 //!
-//! Three rule kinds cover the defenses in `ddosim.scenario/1`:
+//! Four rule kinds:
 //!
-//! * [`FilterRule::RateLimit`] — per-source token buckets, the structured
-//!   port of `analysis::mitigation::RateLimiter` (same refill and cost
-//!   semantics, byte-for-byte).
+//! * [`FilterRule::RateLimit`] — per-source token buckets (the classic
+//!   volumetric mitigation; [`DEFAULT_RATE_LIMIT_BPS`] and
+//!   [`DEFAULT_RATE_LIMIT_BURST_BYTES`] are the deployed defaults).
 //! * [`FilterRule::EgressBlock`] — ISP-style egress filtering: a router
 //!   drops traffic toward a victim address (optionally one port).
 //! * [`FilterRule::Blocklist`] — drops packets whose *source* is on the
 //!   simulator-global blocklist, which honeypot nodes feed at runtime.
+//! * [`FilterRule::Custom`] — a rule netsim cannot name (e.g.
+//!   `analysis::ModelFilter`, an ML detector in the loop) behind the
+//!   [`CustomFilter`] trait, which makes it clone itself and fold its
+//!   state into the digest like the built-in kinds.
 
 use crate::digest::StateHasher;
 use crate::packet::Packet;
-use crate::sim::FilterVerdict;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::net::IpAddr;
+
+/// Decision of a filter rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FilterVerdict {
+    /// Let the packet through.
+    Allow,
+    /// Drop the packet (counted as [`crate::DropReason::Filtered`]).
+    Drop,
+}
+
+/// Default sustained per-source allowance of a deployed
+/// [`FilterRule::RateLimit`]: 64 kbps.
+pub const DEFAULT_RATE_LIMIT_BPS: u64 = 64_000;
+
+/// Default per-source burst allowance of a deployed
+/// [`FilterRule::RateLimit`]: 16 KiB.
+pub const DEFAULT_RATE_LIMIT_BURST_BYTES: u64 = 16 * 1024;
+
+/// A filter rule defined outside netsim. Implementors carry their own
+/// state; [`CustomFilter::clone_box`] deep-clones it into a forked world
+/// and [`CustomFilter::state_digest`] pins it into the `netsim.filters`
+/// checkpoint layer, so a world running one forks and checkpoints like
+/// any other.
+pub trait CustomFilter: fmt::Debug {
+    /// Decides one packet arriving at the node at `now`.
+    fn verdict(&mut self, packet: &Packet, now: SimTime) -> FilterVerdict;
+
+    /// Deep-clones the rule, state included.
+    fn clone_box(&self) -> Box<dyn CustomFilter>;
+
+    /// Folds every piece of state that can change a future verdict into
+    /// the digest.
+    fn state_digest(&self, h: &mut StateHasher);
+}
+
+impl Clone for Box<dyn CustomFilter> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
 
 /// Token-bucket state for one source address inside a
 /// [`FilterRule::RateLimit`].
@@ -33,8 +76,8 @@ pub struct TokenBucket {
     pub last: SimTime,
 }
 
-/// One structured filter rule. Plain data: `Clone` gives fork support and
-/// the digest below pins it into the `netsim.filters` checkpoint layer.
+/// One structured filter rule. `Clone` gives fork support and the digest
+/// below pins it into the `netsim.filters` checkpoint layer.
 #[derive(Debug, Clone)]
 pub enum FilterRule {
     /// Per-source token-bucket rate limiting. A packet spends
@@ -62,9 +105,16 @@ pub enum FilterRule {
     /// blocklist (see [`crate::Simulator::blocklist_insert`]); honeypots
     /// feed that list as scanners touch them.
     Blocklist,
+    /// A rule defined outside netsim (digest tag 4, then its own state).
+    Custom(Box<dyn CustomFilter>),
 }
 
 impl FilterRule {
+    /// A [`FilterRule::RateLimit`] with every bucket still to be filled.
+    pub fn rate_limit(rate_bps: u64, burst_bytes: u64) -> FilterRule {
+        FilterRule::RateLimit { rate_bps, burst_bytes, buckets: BTreeMap::new() }
+    }
+
     fn verdict(
         &mut self,
         packet: &Packet,
@@ -105,6 +155,7 @@ impl FilterRule {
                     FilterVerdict::Allow
                 }
             }
+            FilterRule::Custom(rule) => rule.verdict(packet, now),
         }
     }
 
@@ -133,6 +184,10 @@ impl FilterRule {
                 }
             }
             FilterRule::Blocklist => h.write_bytes(&[3]),
+            FilterRule::Custom(rule) => {
+                h.write_bytes(&[4]);
+                rule.state_digest(h);
+            }
         }
     }
 }
@@ -205,14 +260,16 @@ mod tests {
         BTreeSet::new()
     }
 
+    fn digest(stack: &FilterStack) -> u64 {
+        let mut h = StateHasher::new();
+        stack.state_digest(&mut h);
+        h.finish()
+    }
+
     #[test]
     fn rate_limit_allows_burst_then_drops() {
         let mut stack = FilterStack::default();
-        stack.push(FilterRule::RateLimit {
-            rate_bps: 8_000, // 1000 bytes/s
-            burst_bytes: 1_000,
-            buckets: BTreeMap::new(),
-        });
+        stack.push(FilterRule::rate_limit(8_000, 1_000)); // 1000 bytes/s
         let bl = no_blocklist();
         let t0 = SimTime::ZERO;
         // 1000-byte burst admits two 500-byte packets, then drops.
@@ -229,19 +286,24 @@ mod tests {
 
     #[test]
     fn rate_limit_buckets_are_per_source() {
+        // Zero rate: the bucket never refills, so only the burst passes.
         let mut stack = FilterStack::default();
-        stack.push(FilterRule::RateLimit {
-            rate_bps: 0,
-            burst_bytes: 500,
-            buckets: BTreeMap::new(),
-        });
+        stack.push(FilterRule::rate_limit(0, 1_000));
         let bl = no_blocklist();
-        let a = pkt("10.0.0.1:5000", "10.0.9.9:80", 472);
-        let b = pkt("10.0.0.2:5000", "10.0.9.9:80", 472);
-        assert_eq!(stack.verdict(&a, SimTime::ZERO, &bl), FilterVerdict::Allow);
-        assert_eq!(stack.verdict(&a, SimTime::ZERO, &bl), FilterVerdict::Drop);
+        let t0 = SimTime::ZERO;
+        let a600 = pkt("10.0.0.1:5000", "10.0.9.9:80", 572); // 600 wire
+        let a400 = pkt("10.0.0.1:5000", "10.0.9.9:80", 372); // 400 wire
+        let a29 = pkt("10.0.0.1:5000", "10.0.9.9:80", 1); // 29 wire
+        let b = pkt("10.0.0.2:5000", "10.0.9.9:80", 972); // 1000 wire
+        assert_eq!(stack.verdict(&a600, t0, &bl), FilterVerdict::Allow, "600 spent, 400 left");
+        assert_eq!(stack.verdict(&a600, t0, &bl), FilterVerdict::Drop, "600 > 400 left");
+        // The drop spent nothing: the exact remainder still fits.
+        assert_eq!(stack.verdict(&a400, t0, &bl), FilterVerdict::Allow, "exact remainder fits");
+        assert_eq!(stack.verdict(&a29, t0, &bl), FilterVerdict::Drop, "budget now empty");
+        // An hour later nothing has refilled.
+        assert_eq!(stack.verdict(&a29, SimTime::from_secs(3600), &bl), FilterVerdict::Drop);
         // A different source still has its full burst.
-        assert_eq!(stack.verdict(&b, SimTime::ZERO, &bl), FilterVerdict::Allow);
+        assert_eq!(stack.verdict(&b, t0, &bl), FilterVerdict::Allow);
     }
 
     #[test]
@@ -271,24 +333,70 @@ mod tests {
     #[test]
     fn digest_tracks_bucket_state() {
         let mut stack = FilterStack::default();
-        stack.push(FilterRule::RateLimit {
-            rate_bps: 8_000,
-            burst_bytes: 1_000,
-            buckets: BTreeMap::new(),
-        });
-        let before = {
-            let mut h = StateHasher::new();
-            stack.state_digest(&mut h);
-            h.finish()
-        };
+        stack.push(FilterRule::rate_limit(8_000, 1_000));
+        let before = digest(&stack);
         let bl = no_blocklist();
         let p = pkt("10.0.0.1:5000", "10.0.9.9:80", 100);
         stack.verdict(&p, SimTime::ZERO, &bl);
-        let after = {
-            let mut h = StateHasher::new();
-            stack.state_digest(&mut h);
-            h.finish()
-        };
+        let after = digest(&stack);
         assert_ne!(before, after, "spending tokens must change the digest");
+
+        // Identical schedules give identical verdicts and digests: 3 kB/s
+        // per source against ~4.9 kB/s offered, so both outcomes occur.
+        let run = || {
+            let mut stack = FilterStack::default();
+            stack.push(FilterRule::rate_limit(24_000, 2_000));
+            let verdicts: Vec<FilterVerdict> = (0..200u64)
+                .map(|i| {
+                    let src = format!("10.0.0.{}:5000", i % 3 + 1);
+                    let p = pkt(&src, "10.0.9.9:80", 512);
+                    stack.verdict(&p, SimTime::from_millis(i * 37), &bl)
+                })
+                .collect();
+            (verdicts, digest(&stack))
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(a, b, "same schedule, same verdicts and digest");
+        assert!(a.0.contains(&FilterVerdict::Drop) && a.0.contains(&FilterVerdict::Allow));
+    }
+
+    /// Drops every other packet; its one bit of state is its digest.
+    #[derive(Debug, Clone, Default)]
+    struct DropAlternate {
+        flip: bool,
+    }
+
+    impl CustomFilter for DropAlternate {
+        fn verdict(&mut self, _packet: &Packet, _now: SimTime) -> FilterVerdict {
+            self.flip = !self.flip;
+            if self.flip {
+                FilterVerdict::Drop
+            } else {
+                FilterVerdict::Allow
+            }
+        }
+        fn clone_box(&self) -> Box<dyn CustomFilter> {
+            Box::new(self.clone())
+        }
+        fn state_digest(&self, h: &mut StateHasher) {
+            h.write_bool(self.flip);
+        }
+    }
+
+    #[test]
+    fn custom_rules_clone_and_digest_their_state() {
+        let mut stack = FilterStack::default();
+        stack.push(FilterRule::Custom(Box::new(DropAlternate::default())));
+        let bl = no_blocklist();
+        let p = pkt("10.0.0.1:5000", "10.0.9.9:80", 100);
+        let fresh = digest(&stack);
+        assert_eq!(stack.verdict(&p, SimTime::ZERO, &bl), FilterVerdict::Drop);
+        assert_ne!(digest(&stack), fresh, "custom state folds into the digest");
+        // A clone carries the state and then evolves on its own.
+        let mut fork = stack.clone();
+        assert_eq!(digest(&fork), digest(&stack));
+        assert_eq!(fork.verdict(&p, SimTime::ZERO, &bl), FilterVerdict::Allow);
+        assert_ne!(digest(&fork), digest(&stack), "the clone does not share state");
+        assert_eq!(stack.verdict(&p, SimTime::ZERO, &bl), FilterVerdict::Allow);
     }
 }

@@ -6,13 +6,13 @@ use std::any::Any;
 use crate::digest::StateHasher;
 use crate::equeue::{EventQueue, TimeOrderedQueue};
 use crate::fastmap::FastMap;
-use crate::filter::{FilterRule, FilterStack};
+use crate::filter::{FilterRule, FilterStack, FilterVerdict};
 use crate::fork::{ForkClone, ForkMap, ForkableCall, ForkableFn};
 use crate::ids::{AppId, ChannelId, IfaceId, LinkId, NodeId};
 use crate::link::{LinkConfig, P2pLink};
 use crate::node::{Attachment, Iface, NodeRef, Nodes, Route};
 use crate::packet::{self, Packet, Payload, TransportProto};
-use crate::stats::{DropReason, Stats, TraceHook, TraceKind, TraceRecord};
+use crate::stats::{capture_record, DropReason, Stats, TraceHook, TraceKind, TraceRecord};
 use crate::tcp::{ConnId, TcpAction, TcpError, TcpStack};
 use crate::time::{tx_delay, SimTime};
 use crate::wifi::{WifiChannel, WifiConfig};
@@ -46,21 +46,6 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
-
-/// Decision of an ingress filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterVerdict {
-    /// Let the packet through.
-    Allow,
-    /// Drop the packet (counted as [`DropReason::Filtered`]).
-    Drop,
-}
-
-/// An ingress filter: a deployed defense inspecting every packet arriving
-/// at a node (both locally-addressed and transit traffic). Stateful
-/// defenses (rate limiters, ML detectors) capture their state in the
-/// closure.
-pub type IngressFilter = Box<dyn FnMut(&Packet, SimTime) -> FilterVerdict>;
 
 /// Folds one pending event into a checkpoint digest. Every variant gets a
 /// distinct tag; tags are part of checkpoint files, so they are never
@@ -228,10 +213,9 @@ pub struct Simulator {
     reported_sweeps: u64,
     stop_requested: bool,
     buffered_now: u64,
-    filters: FastMap<NodeId, IngressFilter>,
-    /// Structured (forkable, digestible) defense rules per node, applied
-    /// after any opaque ingress filter. Kept ordered so the
-    /// `netsim.filters` digest layer walks nodes deterministically.
+    /// Deployed defense rules per node (forkable, digestible). Kept
+    /// ordered so the `netsim.filters` digest layer walks nodes
+    /// deterministically.
     node_filters: BTreeMap<NodeId, FilterStack>,
     /// Simulator-global source blocklist enforced by
     /// [`FilterRule::Blocklist`] rules; honeypot applications feed it.
@@ -274,7 +258,6 @@ impl Simulator {
             reported_sweeps: 0,
             stop_requested: false,
             buffered_now: 0,
-            filters: FastMap::default(),
             node_filters: BTreeMap::new(),
             blocklist: BTreeSet::new(),
         }
@@ -288,33 +271,21 @@ impl Simulator {
         self.route_cache_enabled = enabled;
     }
 
-    /// Deploys an ingress filter (defense) on a node; replaces any
-    /// previous filter. The filter sees every packet arriving at the node,
-    /// including transit traffic it would forward.
-    pub fn set_ingress_filter(&mut self, node: NodeId, filter: IngressFilter) {
-        self.filters.insert(node, filter);
-    }
-
-    /// Removes the node's ingress filter.
-    pub fn clear_ingress_filter(&mut self, node: NodeId) {
-        self.filters.remove(&node);
-    }
-
-    /// Appends a structured filter rule to the node's defense stack.
-    /// Unlike [`Simulator::set_ingress_filter`] closures, structured rules
-    /// are plain data: they survive [`Simulator::fork`] and fold into the
-    /// `netsim.filters` checkpoint digest layer. Rules run in push order
-    /// after any opaque filter; the first drop wins.
+    /// Appends a filter rule (a deployed defense) to the node's stack. The
+    /// stack sees every packet arriving at the node, including transit
+    /// traffic it would forward; rules run in push order and the first
+    /// drop wins. Rules survive [`Simulator::fork`] and fold into the
+    /// `netsim.filters` checkpoint digest layer.
     pub fn push_node_filter(&mut self, node: NodeId, rule: FilterRule) {
         self.node_filters.entry(node).or_default().push(rule);
     }
 
-    /// Removes every structured filter rule from the node.
+    /// Removes every filter rule from the node.
     pub fn clear_node_filters(&mut self, node: NodeId) {
         self.node_filters.remove(&node);
     }
 
-    /// Number of structured filter rules deployed on the node.
+    /// Number of filter rules deployed on the node.
     pub fn node_filter_count(&self, node: NodeId) -> usize {
         self.node_filters.get(&node).map_or(0, FilterStack::len)
     }
@@ -324,11 +295,6 @@ impl Simulator {
     /// was newly inserted.
     pub fn blocklist_insert(&mut self, addr: IpAddr) -> bool {
         self.blocklist.insert(addr)
-    }
-
-    /// Whether an address is on the global blocklist.
-    pub fn blocklist_contains(&self, addr: IpAddr) -> bool {
-        self.blocklist.contains(&addr)
     }
 
     /// Number of addresses on the global blocklist.
@@ -366,20 +332,17 @@ impl Simulator {
         self.rng = SmallRng::seed_from_u64(seed);
     }
 
-    /// Installs a packet trace hook (a Wireshark-lite observer).
+    /// Installs a packet trace tap (a Wireshark-lite observer), replacing
+    /// any previous one. The tap only observes: the packet capture is fed
+    /// from the telemetry handle whether or not a tap is installed.
     pub fn set_trace(&mut self, hook: TraceHook) {
         self.trace = Some(hook);
     }
 
-    /// Removes the trace hook.
-    pub fn clear_trace(&mut self) {
-        self.trace = None;
-    }
-
     /// Installs the telemetry handle; the simulator emits flight-recorder
     /// events (drops, Wi-Fi contention, retransmits, queue sweeps, admin
-    /// transitions) through it. The default handle is disabled and the
-    /// emission sites cost one branch each.
+    /// transitions) and packet-capture records through it. The default
+    /// handle is disabled and the emission sites cost one branch each.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -409,16 +372,6 @@ impl Simulator {
     /// Accessors panic if `id` was not returned by [`Simulator::add_node`].
     pub fn node(&self, id: NodeId) -> NodeRef<'_> {
         NodeRef::new(&self.nodes, id.index())
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of live tcp-lite connections on a node (diagnostics).
-    pub fn tcp_conn_count(&self, node: NodeId) -> usize {
-        self.tcp[node.index()].as_ref().map_or(0, |s| s.conn_count())
     }
 
     /// The node's TCP stack, allocated on first touch. A freshly
@@ -587,14 +540,6 @@ impl Simulator {
         } else {
             self.nodes.first_v4[node.index()]
         }
-    }
-
-    /// The node's primary (first) address.
-    pub fn primary_addr(&self, node: NodeId) -> Option<IpAddr> {
-        self.nodes.ifaces[node.index()]
-            .first()
-            .and_then(|i| self.ifaces[i.index()].addrs.first())
-            .copied()
     }
 
     /// Resolves which node owns `addr`, if any.
@@ -788,11 +733,6 @@ impl Simulator {
         );
     }
 
-    /// Whether a point-to-point link is administratively up.
-    pub fn link_admin_up(&self, link: LinkId) -> bool {
-        self.links[link.index()].admin_up
-    }
-
     /// Sets the per-frame corruption/loss probability of a point-to-point
     /// link at runtime (fault injection). Clamped to `[0, 1]` at draw time;
     /// the loss RNG is only consulted while the probability is nonzero.
@@ -881,11 +821,6 @@ impl Simulator {
         if self.now < horizon {
             self.now = horizon;
         }
-    }
-
-    /// Runs for `d` of simulated time from now.
-    pub fn run_for(&mut self, d: Duration) {
-        self.run_until(self.now + d);
     }
 
     /// Requests the run loop to stop after the current event.
@@ -1025,9 +960,7 @@ impl Simulator {
         }
         layers.push(("apps", h.finish()));
 
-        // Structured defense rules and the global blocklist. Opaque
-        // closure filters are intentionally absent: worlds that must
-        // checkpoint or fork use structured rules only.
+        // Deployed defense rules and the global blocklist.
         let mut h = StateHasher::new();
         h.write_usize(self.node_filters.len());
         for (node, stack) in &self.node_filters {
@@ -1049,23 +982,16 @@ impl Simulator {
     /// transport stacks, both RNG streams (at their exact positions), and
     /// every pending event are duplicated; applications are cloned through
     /// their own [`Application::fork`], translating shared handles via
-    /// `map`. The fork starts with tracing and telemetry disabled — the
-    /// caller installs fresh handles (a forked recorder splices at the
-    /// parent's event count).
+    /// `map`, and filter rules clone with their state. The fork starts
+    /// with its trace tap and telemetry disabled — the caller installs a
+    /// fresh handle (a forked recorder splices at the parent's event
+    /// count).
     ///
     /// # Errors
     ///
-    /// Fails — naming the obstacle — when the world holds state that
-    /// cannot be cloned: a deployed ingress filter (an opaque `FnMut`) or
-    /// an application whose [`Application::fork`] returns `None`.
+    /// Fails — naming the obstacle — when an application's
+    /// [`Application::fork`] returns `None`.
     pub fn fork(&self, map: &ForkMap) -> Result<Simulator, String> {
-        if !self.filters.is_empty() {
-            return Err(
-                "cannot fork: an ingress filter (opaque closure) is deployed; \
-                 remove filters before forking"
-                    .into(),
-            );
-        }
         let queue = self.queue.clone_with(|event| event.fork(map));
         let mut apps: Vec<Vec<Option<Box<dyn Application>>>> = Vec::with_capacity(self.apps.len());
         for (node_idx, slots) in self.apps.iter().enumerate() {
@@ -1110,7 +1036,6 @@ impl Simulator {
             reported_sweeps: self.reported_sweeps,
             stop_requested: self.stop_requested,
             buffered_now: self.buffered_now,
-            filters: FastMap::default(),
             node_filters: self.node_filters.clone(),
             blocklist: self.blocklist.clone(),
         })
@@ -1172,9 +1097,22 @@ impl Simulator {
         }
     }
 
+    /// Reports one packet event to the packet capture and the trace tap.
+    /// The record is built out of line so that every forwarding step of an
+    /// untraced, uncaptured run pays only these two checks.
+    #[inline]
     fn trace(&mut self, kind: TraceKind, node: NodeId, pkt: &Packet) {
+        if self.trace.is_some() || self.telemetry.captures_packets() {
+            self.emit_trace(kind, node, pkt);
+        }
+    }
+
+    #[inline(never)]
+    fn emit_trace(&mut self, kind: TraceKind, node: NodeId, pkt: &Packet) {
+        let rec = TraceRecord::for_packet(self.now, kind, node, pkt);
+        self.telemetry.capture_packet(|| capture_record(&rec));
         if let Some(hook) = self.trace.as_mut() {
-            hook(&TraceRecord::for_packet(self.now, kind, node, pkt));
+            hook(&rec);
         }
     }
 
@@ -1608,12 +1546,6 @@ impl Simulator {
             self.drop_packet(DropReason::NodeDown, node, &packet);
             return;
         }
-        if let Some(filter) = self.filters.get_mut(&node) {
-            if filter(&packet, self.now) == FilterVerdict::Drop {
-                self.drop_packet(DropReason::Filtered, node, &packet);
-                return;
-            }
-        }
         if let Some(stack) = self.node_filters.get_mut(&node) {
             if stack.verdict(&packet, self.now, &self.blocklist) == FilterVerdict::Drop {
                 self.drop_packet(DropReason::Filtered, node, &packet);
@@ -1767,14 +1699,6 @@ impl Ctx<'_> {
         port
     }
 
-    /// Releases a UDP port bound by this application.
-    pub fn udp_unbind(&mut self, port: u16) {
-        let binds = &mut self.sim.nodes.udp_binds[self.app_id.node.index()];
-        if binds.get(&port) == Some(&self.app_id) {
-            binds.remove(&port);
-        }
-    }
-
     /// Sends a UDP datagram from `src_port` to `dst`. The source address is
     /// chosen to match the destination family.
     ///
@@ -1887,13 +1811,6 @@ impl Ctx<'_> {
         self.sim.tcp[self.app_id.node.index()]
             .as_ref()
             .is_some_and(|s| s.is_established(conn))
-    }
-
-    /// Stops listening on a port previously passed to [`Ctx::tcp_listen`].
-    pub fn tcp_unlisten(&mut self, port: u16) {
-        if let Some(stack) = self.sim.tcp[self.app_id.node.index()].as_mut() {
-            stack.unlisten(port);
-        }
     }
 
     // ----- process / node management -----

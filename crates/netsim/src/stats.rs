@@ -4,6 +4,7 @@ use crate::ids::NodeId;
 use crate::packet::{Packet, TransportProto};
 use crate::time::SimTime;
 use std::net::SocketAddr;
+use telemetry::CaptureRecord;
 
 /// Why a packet was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,7 +23,7 @@ pub enum DropReason {
     WifiRetryLimit,
     /// Random wireless loss (interference).
     WifiLoss,
-    /// An ingress filter (deployed defense) rejected the packet.
+    /// A node's filter stack (a deployed defense) rejected the packet.
     Filtered,
     /// The link was administratively down (fault injection): frames queued
     /// or in flight at the flap, or offered while the link stayed down.
@@ -92,7 +93,7 @@ pub struct Stats {
     pub dropped_wifi_retries: u64,
     /// Frames dropped to random wireless loss.
     pub dropped_wifi_loss: u64,
-    /// Packets rejected by ingress filters (deployed defenses).
+    /// Packets rejected by node filter stacks (deployed defenses).
     pub dropped_filtered: u64,
     /// Frames dropped because their link was administratively down.
     pub dropped_link_down: u64,
@@ -229,6 +230,26 @@ impl TraceRecord {
             self.proto,
             self.wire_bytes
         )
+    }
+}
+
+/// Converts a trace record into a telemetry capture record (the pcap-row
+/// shape the capture sink stores and filters on).
+pub(crate) fn capture_record(rec: &TraceRecord) -> CaptureRecord {
+    CaptureRecord {
+        time_nanos: rec.time.as_nanos(),
+        kind: match rec.kind {
+            TraceKind::Sent => "sent".to_owned(),
+            TraceKind::Delivered => "delivered".to_owned(),
+            TraceKind::Forwarded => "forwarded".to_owned(),
+            TraceKind::Dropped(reason) => format!("dropped:{}", reason.as_str()),
+        },
+        node: rec.node.index() as u32,
+        packet_id: rec.packet_id,
+        src: rec.src,
+        dst: rec.dst,
+        proto: rec.proto.to_string(),
+        wire_bytes: rec.wire_bytes,
     }
 }
 

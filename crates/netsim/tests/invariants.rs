@@ -3,8 +3,8 @@
 
 use netsim::topology::StarTopology;
 use netsim::{
-    Application, Ctx, FilterVerdict, LinkConfig, NodeId, Packet, Payload, SimTime, Simulator,
-    WifiConfig,
+    Application, Ctx, CustomFilter, FilterRule, FilterVerdict, LinkConfig, NodeId, Packet,
+    Payload, SimTime, Simulator, StateHasher, WifiConfig,
 };
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr};
@@ -186,6 +186,28 @@ fn wifi_contention_degrades_aggregate_throughput_per_station() {
     );
 }
 
+/// Drops every other packet it sees.
+#[derive(Debug, Clone, Default)]
+struct DropAlternate {
+    flip: bool,
+}
+impl CustomFilter for DropAlternate {
+    fn verdict(&mut self, _packet: &Packet, _now: SimTime) -> FilterVerdict {
+        self.flip = !self.flip;
+        if self.flip {
+            FilterVerdict::Drop
+        } else {
+            FilterVerdict::Allow
+        }
+    }
+    fn clone_box(&self) -> Box<dyn CustomFilter> {
+        Box::new(self.clone())
+    }
+    fn state_digest(&self, h: &mut StateHasher) {
+        h.write_bool(self.flip);
+    }
+}
+
 #[test]
 fn ingress_filter_sees_transit_traffic() {
     let mut sim = Simulator::new(3);
@@ -206,18 +228,7 @@ fn ingress_filter_sees_transit_traffic() {
         }),
     );
     // Drop every other packet at the fabric.
-    let mut flip = false;
-    sim.set_ingress_filter(
-        star.fabric(),
-        Box::new(move |_pkt, _now| {
-            flip = !flip;
-            if flip {
-                FilterVerdict::Drop
-            } else {
-                FilterVerdict::Allow
-            }
-        }),
-    );
+    sim.push_node_filter(star.fabric(), FilterRule::Custom(Box::new(DropAlternate::default())));
     sim.run_until(SimTime::from_secs(2));
     let delivered = sim.app_ref::<Sink>(sink).expect("sink").packets;
     assert_eq!(delivered, 5, "alternate packets filtered in transit");

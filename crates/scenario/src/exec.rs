@@ -9,7 +9,6 @@
 //! perturb neither the simulator's main nor fault stream.
 
 use crate::plan::{DefenseSpec, RivalSpec, ScenarioPlan};
-use analysis::RateLimiter;
 use ddosim_core::reboot::DAEMON_NAMES;
 use ddosim_core::Ddosim;
 use firmware::{CommandSet, ContainerHandle};
@@ -43,7 +42,7 @@ fn deploy_rate_limit(sim: &mut Simulator, data: (NodeId, u64, u64)) {
             "rate limiter deployed on tserver: {rate_bps} bps, {burst_bytes} B burst per source"
         ),
     );
-    sim.push_node_filter(node, RateLimiter { rate_bps, burst_bytes }.into_rule());
+    sim.push_node_filter(node, FilterRule::rate_limit(rate_bps, burst_bytes));
 }
 
 /// Deploys ISP egress filtering for the victim on the fabric node.

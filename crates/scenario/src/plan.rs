@@ -7,7 +7,7 @@
 //! rejected with a typed [`PlanError`] before any world is built.
 
 use churn::ChurnMode;
-use ddosim_core::{AttackSpec, Recruitment, SimulationConfig, TopologyKind};
+use ddosim_core::{AttackSpec, Recruitment, SimulationConfig, SpecError, TopologyKind};
 use djson::Json;
 use faults::{check_schema, reject_unknown_fields, FaultPlan, PlanError};
 use protocols::AttackVector;
@@ -40,9 +40,10 @@ const RIVAL_FIELDS: &[&str] =
 /// One scheduled defense deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DefenseSpec {
-    /// Target-side per-source rate limiting on the TServer node
-    /// (structured [`netsim::FilterRule::RateLimit`], built from
-    /// [`analysis::mitigation::RateLimiter`]).
+    /// Target-side per-source rate limiting on the TServer node (a
+    /// [`netsim::FilterRule::RateLimit`]; omitted fields default to
+    /// [`netsim::DEFAULT_RATE_LIMIT_BPS`] and
+    /// [`netsim::DEFAULT_RATE_LIMIT_BURST_BYTES`]).
     RateLimit {
         /// Deployment time.
         at: Duration,
@@ -190,40 +191,6 @@ fn opt_secs(json: &Json, ctx: &str, field: &str) -> Result<Option<Duration>, Pla
     }
 }
 
-/// Parses the CLI-style recruitment spec (`memory-error`,
-/// `scanner:<fraction>`, `worm:<fraction>:<seeds>`).
-fn parse_recruitment(spec: &str) -> Result<Recruitment, PlanError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = |what: &str| PlanError::invalid(DOC, format!("world.recruitment: {what} in '{spec}'"));
-    match parts.as_slice() {
-        ["memory-error"] => Ok(Recruitment::MemoryError),
-        ["scanner", f] => Ok(Recruitment::CredentialScanner {
-            default_credential_fraction: f.parse().map_err(|_| bad("bad credential fraction"))?,
-        }),
-        ["worm", f, s] => Ok(Recruitment::SelfPropagating {
-            default_credential_fraction: f.parse().map_err(|_| bad("bad credential fraction"))?,
-            seeds: s.parse().map_err(|_| bad("bad seed count"))?,
-        }),
-        _ => Err(bad("unknown recruitment mode")),
-    }
-}
-
-/// Parses the CLI-style topology spec (`star`, `wifi`,
-/// `tiered:<regions>:<uplink_bps>`).
-fn parse_topology(spec: &str) -> Result<TopologyKind, PlanError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = || PlanError::invalid(DOC, format!("world.topology: unknown spec '{spec}'"));
-    match parts.as_slice() {
-        ["star"] => Ok(TopologyKind::Star),
-        ["wifi"] => Ok(TopologyKind::Wifi),
-        ["tiered", r, bps] => Ok(TopologyKind::Tiered {
-            regions: r.parse().map_err(|_| bad())?,
-            region_uplink_bps: bps.parse().map_err(|_| bad())?,
-        }),
-        _ => Err(bad()),
-    }
-}
-
 /// Applies `scenario.world` overrides onto the default configuration.
 fn apply_world(config: &mut SimulationConfig, world: &Json) -> Result<(), PlanError> {
     reject_unknown_fields(world, DOC, "scenario.world", WORLD_FIELDS)?;
@@ -240,23 +207,23 @@ fn apply_world(config: &mut SimulationConfig, world: &Json) -> Result<(), PlanEr
         config.attack_at = t;
     }
     if let Some(spec) = opt_str(world, "world", "recruitment")? {
-        config.recruitment = parse_recruitment(spec)?;
+        config.recruitment = Recruitment::parse_spec(spec).map_err(|e| {
+            let what = match e {
+                SpecError::Unknown => "unknown recruitment mode".to_owned(),
+                SpecError::BadField { field, .. } => format!("bad {field}"),
+            };
+            PlanError::invalid(DOC, format!("world.recruitment: {what} in '{spec}'"))
+        })?;
     }
     if let Some(mode) = opt_str(world, "world", "churn")? {
-        config.churn = match mode {
-            "none" => ChurnMode::None,
-            "static" => ChurnMode::Static,
-            "dynamic" => ChurnMode::Dynamic,
-            other => {
-                return Err(PlanError::invalid(
-                    DOC,
-                    format!("world.churn: unknown mode '{other}'"),
-                ))
-            }
-        };
+        config.churn = ChurnMode::parse(mode).ok_or_else(|| {
+            PlanError::invalid(DOC, format!("world.churn: unknown mode '{mode}'"))
+        })?;
     }
     if let Some(spec) = opt_str(world, "world", "topology")? {
-        config.topology = parse_topology(spec)?;
+        config.topology = TopologyKind::parse_spec(spec).map_err(|_| {
+            PlanError::invalid(DOC, format!("world.topology: unknown spec '{spec}'"))
+        })?;
     }
     if let Some(rate) = opt_f64(world, "world", "reboot_rate_per_min")? {
         if !rate.is_finite() || rate < 0.0 {
@@ -307,11 +274,11 @@ fn parse_defense(entry: &Json, i: usize) -> Result<DefenseSpec, PlanError> {
     match kind.as_str() {
         "rate_limit" => {
             reject_unknown_fields(entry, DOC, &ctx, &["kind", "at_secs", "rate_bps", "burst_bytes"])?;
-            let defaults = analysis::mitigation::RateLimiter::default();
             Ok(DefenseSpec::RateLimit {
                 at: at("at_secs", Duration::ZERO)?,
-                rate_bps: opt_u64(entry, &ctx, "rate_bps")?.unwrap_or(defaults.rate_bps),
-                burst_bytes: opt_u64(entry, &ctx, "burst_bytes")?.unwrap_or(defaults.burst_bytes),
+                rate_bps: opt_u64(entry, &ctx, "rate_bps")?.unwrap_or(netsim::DEFAULT_RATE_LIMIT_BPS),
+                burst_bytes: opt_u64(entry, &ctx, "burst_bytes")?
+                    .unwrap_or(netsim::DEFAULT_RATE_LIMIT_BURST_BYTES),
             })
         }
         "egress_filter" => {
@@ -609,8 +576,8 @@ mod tests {
             plan.defenses[0],
             DefenseSpec::RateLimit {
                 at: Duration::from_secs(30),
-                rate_bps: analysis::mitigation::RateLimiter::default().rate_bps,
-                burst_bytes: analysis::mitigation::RateLimiter::default().burst_bytes,
+                rate_bps: netsim::DEFAULT_RATE_LIMIT_BPS,
+                burst_bytes: netsim::DEFAULT_RATE_LIMIT_BURST_BYTES,
             }
         );
         assert_eq!(

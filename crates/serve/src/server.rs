@@ -138,12 +138,6 @@ impl Server {
         self.addr
     }
 
-    /// A handle that makes [`Server::run`] return after draining when
-    /// set (what a protocol `shutdown` request sets internally).
-    pub fn shutdown_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// Serves until SIGTERM, a protocol `shutdown` request, or the idle
     /// timeout; drains pending jobs, then returns.
     ///

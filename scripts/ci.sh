@@ -10,7 +10,8 @@
 #   determinism  same seed -> byte-identical traces (star, multi-hop
 #                tiered, fault plan, zero-fault no-op); seed sweeps:
 #                streamed NDJSON rows == batch rows byte for byte, and
-#                a repeated sweep reproduces itself
+#                a repeated sweep reproduces itself; the committed
+#                frontier.md and mitigation.csv regenerate byte for byte
 #   checkpoint   resume == straight-through: snapshot mid-attack, resume,
 #                and diff the resumed trace against the original's suffix
 #                (trace suffix + trace diff), plain and under a fault plan;
@@ -50,6 +51,7 @@ trap 'rm -rf "$work"' EXIT
 DDOSIM="cargo run --release --offline -p ddosim --bin ddosim --"
 PERFSNAP="cargo run --release --offline -p ddosim-bench --bin perfsnap --"
 FRONTIER="cargo run --release --offline -p ddosim-bench --bin frontier --"
+MITIGATION="cargo run --release --offline -p ddosim-bench --bin mitigation --"
 
 # Small deterministic scenario shared by the determinism and checkpoint
 # stages; extra flags append.
@@ -225,6 +227,14 @@ PLAN
     cp results/frontier.md "$work/frontier.committed.md"
     $FRONTIER > /dev/null
     cmp results/frontier.md "$work/frontier.committed.md"
+
+    # Deployed-defense gate: the committed mitigation table (undefended,
+    # token bucket, ML filter at the upstream router) must regenerate
+    # byte for byte — every run is seeded and the ML filter is trained on
+    # the undefended run's deterministic traffic.
+    cp results/mitigation.csv "$work/mitigation.committed.csv"
+    $MITIGATION > /dev/null
+    cmp results/mitigation.csv "$work/mitigation.committed.csv"
 }
 
 stage_checkpoint() {

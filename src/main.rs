@@ -8,7 +8,7 @@
 //! ```
 
 use churn::ChurnMode;
-use ddosim::{AttackSpec, Recruitment, SimulationBuilder, TelemetryConfig};
+use ddosim::{AttackSpec, Recruitment, SimulationBuilder, SpecError, TelemetryConfig};
 use protocols::AttackVector;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -349,12 +349,9 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--devs" => builder = builder.devs(value("--devs")?.parse().map_err(|e| format!("--devs: {e}"))?),
             "--churn" => {
-                builder = builder.churn(match value("--churn")?.as_str() {
-                    "none" => ChurnMode::None,
-                    "static" => ChurnMode::Static,
-                    "dynamic" => ChurnMode::Dynamic,
-                    other => return Err(format!("unknown churn mode: {other}")),
-                })
+                let v = value("--churn")?;
+                builder = builder
+                    .churn(ChurnMode::parse(&v).ok_or_else(|| format!("unknown churn mode: {v}"))?)
             }
             "--vector" => {
                 let v = value("--vector")?;
@@ -389,23 +386,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--recruitment" => {
                 let v = value("--recruitment")?;
-                let parts: Vec<&str> = v.split(':').collect();
-                let r = match parts.as_slice() {
-                    ["memory-error"] => Recruitment::MemoryError,
-                    ["scanner", f] => Recruitment::CredentialScanner {
-                        default_credential_fraction: f
-                            .parse()
-                            .map_err(|e| format!("--recruitment scanner: {e}"))?,
-                    },
-                    ["worm", f, s] => Recruitment::SelfPropagating {
-                        default_credential_fraction: f
-                            .parse()
-                            .map_err(|e| format!("--recruitment worm: {e}"))?,
-                        seeds: s.parse().map_err(|e| format!("--recruitment worm: {e}"))?,
-                    },
-                    _ => return Err(format!("unknown recruitment spec: {v}")),
-                };
-                builder = builder.recruitment(r);
+                builder = builder.recruitment(Recruitment::parse_spec(&v).map_err(|e| match e {
+                    SpecError::Unknown => format!("unknown recruitment spec: {v}"),
+                    SpecError::BadField { mode, reason, .. } => {
+                        format!("--recruitment {mode}: {reason}")
+                    }
+                })?);
             }
             "--strategy" => {
                 builder = builder.strategy(match value("--strategy")?.as_str() {
@@ -417,17 +403,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--topology" => {
                 let v = value("--topology")?;
-                let parts: Vec<&str> = v.split(':').collect();
-                let t = match parts.as_slice() {
-                    ["star"] => ddosim::TopologyKind::Star,
-                    ["wifi"] => ddosim::TopologyKind::Wifi,
-                    ["tiered", r, bps] => ddosim::TopologyKind::Tiered {
-                        regions: r.parse().map_err(|e| format!("--topology: {e}"))?,
-                        region_uplink_bps: bps.parse().map_err(|e| format!("--topology: {e}"))?,
-                    },
-                    _ => return Err(format!("unknown topology spec: {v}")),
-                };
-                builder = builder.topology(t);
+                builder = builder.topology(ddosim::TopologyKind::parse_spec(&v).map_err(|e| {
+                    match e {
+                        SpecError::Unknown => format!("unknown topology spec: {v}"),
+                        SpecError::BadField { reason, .. } => format!("--topology: {reason}"),
+                    }
+                })?);
             }
             "--reboot-rate" => {
                 builder = builder.reboot_rate_per_min(

@@ -4,6 +4,8 @@
 //! must be pinpointed at its first diverging entry.
 
 use ddosim::{AttackSpec, SimulationBuilder, Telemetry, TelemetryConfig};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Duration;
 use telemetry::{diff_strs, CaptureFilter};
 
@@ -119,6 +121,37 @@ fn capture_filter_narrows_the_capture() {
         h.capture_json().and_then(|d| d.get("offered").and_then(|o| o.as_u64())).unwrap()
     };
     assert_eq!(offered(&all), offered(&only_flood));
+}
+
+#[test]
+fn a_trace_tap_does_not_stop_the_capture() {
+    // The simulator feeds the capture itself, so a tap installed on top
+    // only observes: it must see packets and leave the capture unchanged.
+    let capture_only = TelemetryConfig { capture: true, ..TelemetryConfig::default() };
+    let capture_doc = |tap: bool| {
+        let mut instance = SimulationBuilder::new()
+            .devs(4)
+            .attack(AttackSpec::udp_plain(Duration::from_secs(5)))
+            .attack_at(Duration::from_secs(20))
+            .sim_time(Duration::from_secs(30))
+            .seed(42)
+            .telemetry(capture_only.clone())
+            .build()
+            .expect("valid configuration");
+        let seen = Rc::new(Cell::new(0u64));
+        if tap {
+            let counter = Rc::clone(&seen);
+            instance.sim_mut().set_trace(Box::new(move |_| counter.set(counter.get() + 1)));
+        }
+        let handle = instance.telemetry().clone();
+        instance.run_to_completion();
+        let doc = handle.capture_json().expect("capturing").to_string_compact();
+        (doc, seen.get())
+    };
+    let (plain, _) = capture_doc(false);
+    let (tapped, seen) = capture_doc(true);
+    assert!(seen > 0, "the tap sees packets");
+    assert_eq!(plain, tapped, "a tap changed the capture");
 }
 
 #[test]
